@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rabi_ent.cli import load_preset, main, preset_name
 
@@ -258,3 +259,164 @@ def test_configured_output_path_used_when_out_flag_absent(tmp_path, monkeypatch)
     # the --out flag still wins over the configured path
     assert main(["tprob", "--config", cfg, "--out", "flag.csv"]) == 0
     assert (tmp_path / "flag.csv").exists()
+
+
+# --- configuration rejection table ------------------------------------------
+#
+# One row per configuration fault: (command, config, exit code, dotted path
+# the error message must name).  Each config is a valid base config for its
+# command with exactly one change.
+
+_DELETE = object()
+
+_BASES = {
+    "tprob": {"model": AA_VALID_MODEL, "time_grid": {"t_max": 10.0, "points": 11}},
+    "spectrum": {"model": AA_VALID_MODEL, "spectrum": {"n_min": 0, "n_max": 5}},
+    "oracle": {
+        "model": {"ratio_r": 0.05, "beta": 0.2, "alpha_sq": 1.0},
+        "time_grid": {"t_max": 2.0, "points": 3},
+        "ed": {"n_max": 16, "check_truncation": False},
+    },
+    "jc": {"jc": {"delta": 0.0, "g": 1.0, "alpha_sq": 4.0}, "time_grid": {"t_max": 2.0, "points": 3}},
+    "scan": {
+        "scan": {
+            "ranges": {"beta": {"min": 0.3, "max": 0.5, "steps": 3}},
+            "fixed": {"ratio_r": 0.12, "kappa0": 0.02, "alpha_sq": 9.0},
+            "horizon": 5.0,
+            "time_points": 5,
+            "refine": {"step_scales": {"beta": 0.01}, "max_iters": 2},
+        }
+    },
+}
+
+
+def _edited(command: str, dotted: str, value):
+    cfg = json.loads(json.dumps(_BASES[command]))
+    *parents, last = dotted.split(".")
+    node = cfg
+    for key in parents:
+        node = node.setdefault(key, {})
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+def _case(command, dotted, value, code, path):
+    shown = "missing" if value is _DELETE else repr(value)
+    return pytest.param(command, _edited(command, dotted, value), code, path, id=f"{command}-{dotted}={shown}")
+
+
+_REJECTIONS = [
+    pytest.param("tprob", [1, 2], 2, "config", id="top-level-not-an-object"),
+    pytest.param("tprob", "model", 2, "config", id="top-level-a-string"),
+    # unknown keys at every level
+    _case("tprob", "modle", {}, 2, "config"),
+    _case("tprob", "model.betta", 0.3, 2, "model"),
+    _case("tprob", "time_grid.step", 0.1, 2, "time_grid"),
+    _case("spectrum", "spectrum.n_top", 4, 2, "spectrum"),
+    _case("oracle", "ed.nmax", 4, 2, "ed"),
+    _case("jc", "jc.omega", 1.0, 2, "jc"),
+    _case("scan", "scan.range", {}, 2, "scan"),
+    _case("scan", "scan.ranges.beta.step", 3, 2, "scan.ranges.beta"),
+    _case("scan", "scan.refine.maxiter", 3, 2, "scan.refine"),
+    _case("tprob", "output.file", "x.csv", 2, "output"),
+    # sections that are not objects
+    _case("tprob", "model", [0.2, 0.1], 2, "model"),
+    _case("tprob", "time_grid", 10.0, 2, "time_grid"),
+    _case("oracle", "ed", "big", 2, "ed"),
+    _case("scan", "scan.ranges", [], 2, "scan.ranges"),
+    _case("scan", "scan.ranges.beta", 0.4, 2, "scan.ranges.beta"),
+    _case("scan", "scan.fixed", 0.1, 2, "scan.fixed"),
+    _case("scan", "scan.refine", True, 2, "scan.refine"),
+    _case("scan", "scan.refine.step_scales", 0.01, 2, "scan.refine.step_scales"),
+    _case("scan", "scan.refine.bounds", [0.3, 0.5], 2, "scan.refine.bounds"),
+    # required keys missing
+    _case("tprob", "model.ratio_r", _DELETE, 2, "model.ratio_r"),
+    _case("tprob", "model.beta", _DELETE, 2, "model.beta"),
+    _case("tprob", "time_grid.t_max", _DELETE, 2, "time_grid.t_max"),
+    _case("jc", "jc.delta", _DELETE, 2, "jc.delta"),
+    _case("jc", "jc.g", _DELETE, 2, "jc.g"),
+    _case("jc", "jc.alpha_sq", _DELETE, 2, "jc.alpha_sq"),
+    _case("scan", "scan.horizon", _DELETE, 2, "scan.horizon"),
+    _case("scan", "scan.ranges.beta.min", _DELETE, 2, "scan.ranges.beta.min"),
+    _case("scan", "scan.ranges.beta.max", _DELETE, 2, "scan.ranges.beta.max"),
+    _case("scan", "scan.ranges.beta.steps", _DELETE, 2, "scan.ranges.beta.steps"),
+    # wrong types, one kind at a time
+    _case("tprob", "model.beta", "0.1", 2, "model.beta"),
+    _case("tprob", "model.kappa0", True, 2, "model.kappa0"),
+    _case("tprob", "model.alpha_sq", None, 2, "model.alpha_sq"),
+    _case("tprob", "tail_tol", "1e-12", 2, "tail_tol"),
+    _case("tprob", "time_grid.points", 3.0, 2, "time_grid.points"),
+    _case("tprob", "time_grid.points", True, 2, "time_grid.points"),
+    _case("spectrum", "spectrum.n_max", 5.0, 2, "spectrum.n_max"),
+    _case("oracle", "ed.n_max", 8.0, 2, "ed.n_max"),
+    _case("oracle", "ed.initial_fock", 1.5, 2, "ed.initial_fock"),
+    _case("oracle", "ed.dim_ceiling", "8192", 2, "ed.dim_ceiling"),
+    _case("scan", "scan.ranges.beta.steps", 3.0, 2, "scan.ranges.beta.steps"),
+    _case("scan", "scan.time_points", 5.0, 2, "scan.time_points"),
+    _case("scan", "scan.grid_ceiling", 1e4, 2, "scan.grid_ceiling"),
+    _case("scan", "scan.refine.max_iters", 2.0, 2, "scan.refine.max_iters"),
+    _case("scan", "scan.refine.ftol", "tiny", 2, "scan.refine.ftol"),
+    _case("scan", "scan.fixed.kappa0", "0.02", 2, "scan.fixed.kappa0"),
+    _case("scan", "scan.refine.step_scales.beta", False, 2, "scan.refine.step_scales.beta"),
+    _case("scan", "scan.refine.bounds.beta", [0.3], 2, "scan.refine.bounds.beta"),
+    _case("oracle", "ed.check_truncation", "no", 2, "ed.check_truncation"),
+    _case("jc", "jc.corrected", 1, 2, "jc.corrected"),
+    _case("tprob", "label", 7, 2, "label"),
+    _case("tprob", "description", ["x"], 2, "description"),
+    _case("tprob", "output.path", 3, 2, "output.path"),
+    _case("tprob", "model.kappa_convention", "omega", 2, "model.kappa_convention"),
+    _case("oracle", "ed.variant", "full_sum", 2, "ed.variant"),
+    _case("oracle", "ed.initial_spin", "1,0", 2, "ed.initial_spin"),
+    _case("scan", "scan.kappa_convention", 1, 2, "scan.kappa_convention"),
+    # bounds checked at load
+    _case("tprob", "time_grid.points", 1, 2, "time_grid.points"),
+    _case("tprob", "time_grid.t_max", 0.0, 2, "time_grid"),
+    _case("tprob", "time_grid.t_min", 10.0, 2, "time_grid"),
+    _case("tprob", "tail_tol", 0.0, 2, "tail_tol"),
+    _case("tprob", "tail_tol", 1e-5, 2, "tail_tol"),
+    _case("spectrum", "spectrum.n_min", -1, 2, "spectrum.n_min"),
+    _case("spectrum", "spectrum.n_min", 6, 2, "spectrum"),
+    # scan structure
+    _case("scan", "scan.ranges.omega", {"min": 0.0, "max": 1.0, "steps": 2}, 2, "scan.ranges.omega"),
+    _case("scan", "scan.fixed.omega", 1.0, 2, "scan.fixed.omega"),
+    _case("scan", "scan.fixed.beta", 0.4, 2, "scan"),
+    _case("scan", "scan.fixed.kappa0", _DELETE, 2, "scan"),
+    _case("scan", "scan.ranges.beta.steps", 1, 2, "scan"),
+    _case("scan", "scan.ranges.beta.max", 0.2, 2, "scan"),
+    _case("scan", "scan.horizon", -1.0, 2, "scan"),
+    _case("scan", "scan.time_points", 1, 2, "scan"),
+    _case("scan", "scan.refine.step_scales", {}, 2, "scan.refine.step_scales"),
+    _case("scan", "scan.refine.step_scales.kappa0", 0.01, 2, "scan.refine.step_scales"),
+    # each command needs its sections
+    _case("tprob", "model", _DELETE, 2, "model"),
+    _case("tprob", "time_grid", _DELETE, 2, "time_grid"),
+    _case("spectrum", "model", _DELETE, 2, "model"),
+    _case("oracle", "time_grid", _DELETE, 2, "time_grid"),
+    _case("jc", "jc", _DELETE, 2, "jc"),
+    _case("scan", "scan", _DELETE, 2, "scan"),
+    # valid structure, invalid physics or size: exit 3 and 4
+    _case("tprob", "model.alpha_sq", -4.0, 3, "alpha_sq"),
+    _case("oracle", "ed.n_max", -1, 3, "n_max"),
+    _case("jc", "jc.g", 0.0, 3, "g"),
+    _case("oracle", "ed.dim_ceiling", 16, 4, "ceiling"),
+    _case("scan", "scan.grid_ceiling", 2, 4, "ceiling"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, code, path", _REJECTIONS)
+def test_config_rejections(tmp_path, monkeypatch, capsys, command, cfg, code, path):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", cfg_path, "--out", "out.csv"]) == code
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", sorted(_BASES))
+def test_rejection_table_bases_are_valid(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path / "cfg.json", _BASES[command])
+    assert main([command, "--config", cfg_path, "--out", "out.csv"]) == 0
