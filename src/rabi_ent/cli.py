@@ -10,7 +10,6 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
@@ -20,40 +19,21 @@ from pathlib import Path
 
 from . import __version__
 from .config import (
-    edconfig_from_config,
     load_config,
     params_from_config,
-    require_section,
     scanspec_from_config,
-    tail_tol_from_config,
+    section,
     times_from_config,
     validate_config,
 )
-from .dynamics import jc_inversion, survival_prob, transition_prob
+from .dynamics import jc_inversion, transition_prob
 from .errors import CapacityError, ConfigError, DomainError
-from .oracle import evolve
-from .params import SpinState
+from .oracle import EDConfig, evolve, required_n_max
 from .scan import grid_scan, refine
 from .spectrum import aa_rows
 from .specialfn import poisson_logweights
 
 _PRESET_PANELS = {1: 4, 2: 3, 3: 3, 4: 1}
-
-_SPECTRUM_COLUMNS = (
-    "N",
-    "omega1N",
-    "omega2N",
-    "t0tilde",
-    "e0",
-    "eplus",
-    "eminus",
-    "weight",
-    "rabi_freq",
-)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -75,19 +55,6 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_sidecar(csv_path: Path, payload: dict) -> Path:
-    sidecar = csv_path.with_name(csv_path.name + ".json")
-    _atomic_write(sidecar, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return sidecar
-
-
 def preset_name(fig: int, panel: int) -> str:
     if fig not in _PRESET_PANELS:
         raise ConfigError(f"unknown figure preset {fig}; available: {sorted(_PRESET_PANELS)}")
@@ -107,211 +74,111 @@ def load_preset(fig: int, panel: int = 1) -> dict:
 
 
 def _resolve_config(args) -> tuple[dict, str]:
+    """The validated config and the name of its source, the default label."""
     if args.config is not None and args.fig is not None:
         raise ConfigError("--config and --fig are mutually exclusive")
     if args.config is not None:
-        cfg = load_config(args.config)
-        return cfg, cfg.get("label", Path(args.config).stem)
+        return load_config(args.config), Path(args.config).stem
     if args.fig is not None:
-        cfg = load_preset(args.fig, args.panel)
-        return cfg, cfg.get("label", preset_name(args.fig, args.panel))
+        return load_preset(args.fig, args.panel), preset_name(args.fig, args.panel)
     raise ConfigError("provide either --config FILE or --fig N [--panel K]")
 
 
-def _resolved_payload(command: str, cfg: dict, extras: dict | None = None) -> dict:
-    payload = {
-        "command": command,
-        "version": __version__,
-        "resolved": copy.deepcopy(cfg),
-    }
-    if extras:
-        payload.update(extras)
-    return payload
+# Each compute function maps a validated config to the CSV header, the CSV
+# rows, the summary values added to the sidecar, and the tail of the line
+# printed after "wrote <path>".
 
 
-def _out_path(args, cfg: dict, label: str, command: str) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    configured = cfg.get("output", {}).get("path")
-    if configured is not None:
-        return Path(configured)
-    return Path(f"{command}_{label}.csv")
-
-
-def cmd_tprob(args) -> int:
-    cfg, label = _resolve_config(args)
+def _spectrum(cfg: dict):
     params = params_from_config(cfg)
-    times = times_from_config(cfg)
-    tail_tol = tail_tol_from_config(cfg)
-    t_series = transition_prob(params, times, tail_tol)
-    p_series = survival_prob(params, times, tail_tol)
-    t_vals = t_series.channels["T"]
-    p_vals = p_series.channels["P_stay"]
-    path = _out_path(args, cfg, label, "tprob")
-    _write_csv(path, ("t", "T", "P_stay"), zip(times, t_vals, p_vals))
-    _write_sidecar(
-        path,
-        _resolved_payload(
-            "tprob",
-            cfg,
-            {"max_T": float(t_vals.max()), "min_P_stay": float(p_vals.min())},
-        ),
-    )
-    print(f"wrote {path} ({times.size} rows); max T = {t_vals.max():.6g}")
-    return 0
-
-
-def cmd_spectrum(args) -> int:
-    cfg, label = _resolve_config(args)
-    params = params_from_config(cfg)
-    spectrum_cfg = cfg.get("spectrum", {})
-    n_min = int(spectrum_cfg.get("n_min", 0))
-    n_max = spectrum_cfg.get("n_max")
+    rows_cfg = section(cfg, "spectrum")
+    n_min, n_max = rows_cfg["n_min"], rows_cfg["n_max"]
     if n_max is None:
-        n_max = poisson_logweights(params.alpha_sq, tail_tol_from_config(cfg)).n_cut
-    rows = aa_rows(params, int(n_max), n_min)
-    path = _out_path(args, cfg, label, "spectrum")
-    _write_csv(
-        path,
-        _SPECTRUM_COLUMNS,
-        (
-            (
-                str(r.N),
-                r.omega1N,
-                r.omega2N,
-                r.t0tilde,
-                r.e0,
-                r.eplus,
-                r.eminus,
-                r.weight,
-                r.rabi_freq,
-            )
-            for r in rows
-        ),
+        n_max = poisson_logweights(params.alpha_sq, section(cfg, "tail_tol")).n_cut
+    rows = aa_rows(params, n_max, n_min)
+    header = ("N", "omega1N", "omega2N", "t0tilde", "e0", "eplus", "eminus", "weight", "rabi_freq")
+    csv_rows = (
+        (str(r.N), r.omega1N, r.omega2N, r.t0tilde, r.e0, r.eplus, r.eminus, r.weight, r.rabi_freq)
+        for r in rows
     )
-    _write_sidecar(
-        path,
-        _resolved_payload("spectrum", cfg, {"n_min": n_min, "n_max": int(n_max)}),
-    )
-    print(f"wrote {path} ({len(rows)} rows)")
-    return 0
+    return header, csv_rows, {"n_min": n_min, "n_max": n_max}, f"({len(rows)} rows)"
 
 
-def cmd_oracle(args) -> int:
-    cfg, label = _resolve_config(args)
+def _tprob(cfg: dict):
     params = params_from_config(cfg)
     times = times_from_config(cfg)
-    ed_cfg = cfg.get("ed", {})
-    config = edconfig_from_config(cfg, params)
-    initial_spin = SpinState[ed_cfg.get("initial_spin", "J1M0")]
-    initial_fock = ed_cfg.get("initial_fock")
+    t_vals = transition_prob(params, times, section(cfg, "tail_tol")).channels["T"]
+    p_vals = 1.0 - 2.0 * t_vals
+    summary = {"max_T": float(t_vals.max()), "min_P_stay": float(p_vals.min())}
+    note = f"({times.size} rows); max T = {t_vals.max():.6g}"
+    return ("t", "T", "P_stay"), zip(times, t_vals, p_vals), summary, note
+
+
+def _oracle(cfg: dict):
+    params = params_from_config(cfg)
+    times = times_from_config(cfg)
+    ed = section(cfg, "ed")
+    n_max = required_n_max(params.alpha_sq) if ed["n_max"] is None else ed["n_max"]
+    config = EDConfig(n_max=n_max, variant=ed["variant"], dim_ceiling=ed["dim_ceiling"])
     result = evolve(
         params,
         config,
         times,
-        initial_spin=initial_spin,
-        initial_fock=initial_fock,
-        compute_truncation_error=ed_cfg.get("check_truncation", True),
+        initial_spin=ed["initial_spin"],
+        initial_fock=ed["initial_fock"],
+        compute_truncation_error=ed["check_truncation"],
     )
     pops = result.populations.channels
     conc = result.concurrence.channels["C"]
-    path = _out_path(args, cfg, label, "oracle")
-    _write_csv(
-        path,
-        ("t", "P11", "P1m1", "P10", "P00", "C"),
-        zip(times, pops["P11"], pops["P1m1"], pops["P10"], pops["P00"], conc),
-    )
-    _write_sidecar(
-        path,
-        _resolved_payload(
-            "oracle",
-            cfg,
-            {
-                "n_max": config.n_max,
-                "variant": config.variant.value,
-                "truncation_error": result.truncation_error,
-            },
-        ),
-    )
-    print(f"wrote {path} ({times.size} rows); truncation_error = {result.truncation_error}")
-    return 0
+    rows = zip(times, pops["P11"], pops["P1m1"], pops["P10"], pops["P00"], conc)
+    summary = {
+        "n_max": config.n_max,
+        "variant": config.variant.value,
+        "truncation_error": result.truncation_error,
+    }
+    note = f"({times.size} rows); truncation_error = {result.truncation_error}"
+    return ("t", "P11", "P1m1", "P10", "P00", "C"), rows, summary, note
 
 
-def cmd_jc(args) -> int:
-    cfg, label = _resolve_config(args)
-    jc = require_section(cfg, "jc")
+def _jc(cfg: dict):
+    jc = section(cfg, "jc", required=True)
     times = times_from_config(cfg)
-    series = jc_inversion(
-        delta=float(jc["delta"]),
-        g=float(jc["g"]),
-        alpha_sq=float(jc["alpha_sq"]),
-        times=times,
-        tail_tol=tail_tol_from_config(cfg),
-        corrected=jc.get("corrected", True),
-    )
-    w_vals = series.channels["W"]
-    path = _out_path(args, cfg, label, "jc")
-    _write_csv(path, ("t", "W"), zip(times, w_vals))
-    _write_sidecar(path, _resolved_payload("jc", cfg))
-    print(f"wrote {path} ({times.size} rows)")
-    return 0
+    w_vals = jc_inversion(times=times, tail_tol=section(cfg, "tail_tol"), **jc).channels["W"]
+    return ("t", "W"), zip(times, w_vals), {}, f"({times.size} rows)"
 
 
-def cmd_scan(args) -> int:
-    cfg, label = _resolve_config(args)
+def _scan(cfg: dict):
     spec = scanspec_from_config(cfg)
     result = grid_scan(spec)
-    refine_cfg = cfg.get("scan", {}).get("refine")
-    refined = None
-    if refine_cfg is not None:
-        step_scales = {
-            name: float(v) for name, v in refine_cfg.get("step_scales", {}).items()
-        }
-        if set(step_scales) != set(result.axis_names):
-            raise ConfigError("scan.refine.step_scales must cover exactly the swept axes")
-        bounds = {
-            name: (float(pair[0]), float(pair[1]))
-            for name, pair in refine_cfg.get("bounds", {}).items()
-        } or {name: (spec.ranges[name].min, spec.ranges[name].max) for name in result.axis_names}
-        refined = refine(
-            result.best_point,
-            step_scales,
-            max_iters=int(refine_cfg.get("max_iters", 200)),
-            ftol=float(refine_cfg.get("ftol", 1e-8)),
-            bounds=bounds,
-            spec=spec,
-        )
-    path = _out_path(args, cfg, label, "scan")
-    header = tuple(result.axis_names) + ("objective",)
-    rows = (
-        tuple(point) + (obj,)
-        for point, obj in zip(result.points, result.objectives)
-    )
-    _write_csv(path, header, rows)
-    extras = {
+    summary = {
         "best_point": result.best_point,
         "best_objective": result.best_objective,
         "grid_size": result.metadata.get("grid_size"),
     }
-    if refined is not None:
-        extras["refined_point"] = refined.best_point
-        extras["refined_objective"] = refined.best_objective
-        extras["refine_trace"] = [
+    best = result.best_objective
+    options = section(cfg, "scan", required=True).get("refine")
+    if options is not None:
+        refined = refine(result.best_point, spec=spec, **options)
+        summary["refined_point"] = refined.best_point
+        summary["refined_objective"] = refined.best_objective
+        summary["refine_trace"] = [
             {"point": point, "objective": value} for point, value in refined.trace
         ]
-        extras["refine_metadata"] = refined.metadata
-    _write_sidecar(path, _resolved_payload("scan", cfg, extras))
-    best = refined.best_objective if refined is not None else result.best_objective
-    print(f"wrote {path} ({result.objectives.size} grid rows); best objective = {best:.6g}")
-    return 0
+        summary["refine_metadata"] = refined.metadata
+        best = refined.best_objective
+    header = result.axis_names + ("objective",)
+    rows = (tuple(point) + (obj,) for point, obj in zip(result.points, result.objectives))
+    note = f"({result.objectives.size} grid rows); best objective = {best:.6g}"
+    return header, rows, summary, note
 
 
+# command -> (help text, compute function)
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "tprob": cmd_tprob,
-    "oracle": cmd_oracle,
-    "jc": cmd_jc,
-    "scan": cmd_scan,
+    "spectrum": ("per-photon-number closed-form spectrum rows as CSV", _spectrum),
+    "tprob": ("averaged transition probability T(t) and survival 1-2T(t)", _tprob),
+    "oracle": ("dense-diagonalization populations and concurrence", _oracle),
+    "jc": ("Jaynes-Cummings inversion comparator W(t)", _jc),
+    "scan": ("grid scan (and optional refinement) of max_t T(t)", _scan),
 }
 
 
@@ -323,13 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "per-photon-number closed-form spectrum rows as CSV"),
-        ("tprob", "averaged transition probability T(t) and survival 1-2T(t)"),
-        ("oracle", "dense-diagonalization populations and concurrence"),
-        ("jc", "Jaynes-Cummings inversion comparator W(t)"),
-        ("scan", "grid scan (and optional refinement) of max_t T(t)"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, default=None, help="JSON run configuration")
         cmd.add_argument("--fig", type=int, default=None, help="bundled figure preset number")
@@ -339,11 +200,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
+    """Run one command: write its CSV, its sidecar and a summary line; return the exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args)
+        cfg, source = _resolve_config(args)
+        header, rows, summary, note = _COMMANDS[args.command][1](cfg)
+        out = args.out if args.out is not None else section(cfg, "output")["path"]
+        path = Path(out if out is not None else f"{args.command}_{cfg.get('label', source)}.csv")
+        lines = [",".join(header)]
+        lines += (",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) for row in rows)
+        _atomic_write(path, "\n".join(lines) + "\n")
+        payload = {"command": args.command, "version": __version__, "resolved": cfg, **summary}
+        sidecar = path.with_name(path.name + ".json")
+        _atomic_write(sidecar, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path} {note}")
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,89 +1,207 @@
 """Run-configuration schema: validation, defaults, and object construction.
 
-Configurations are JSON objects.  Every section is validated before any
-computation starts and unknown keys are rejected outright, so a typo fails
-fast instead of silently falling back to a default.
+Configurations are JSON objects.  ``SCHEMA`` is the one place that names
+every accepted key with its type, its default (or that it is required) and
+its bounds.  ``validate_config`` walks it over a whole configuration before
+any computation starts, and the readers below walk it over one section to
+get typed values with the defaults filled in.  Unknown keys are rejected
+outright, so a typo fails fast instead of silently falling back to a default.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
-from .oracle import EDConfig, HamiltonianVariant, required_n_max
+from .errors import ConfigError, DomainError
+from .oracle import EDConfig, HamiltonianVariant
 from .params import KappaConvention, ModelParams, SpinState
 from .scan import AxisRange, ScanSpec, SWEEPABLE
 from .specialfn import DEFAULT_TAIL_TOL
 
-_KAPPA_CONVENTIONS = {c.value: c for c in KappaConvention}
-_VARIANTS = {v.value: v for v in HamiltonianVariant}
-_SPIN_STATES = {s.name: s for s in SpinState}
-
-_TOP_KEYS = {"model", "time_grid", "tail_tol", "spectrum", "ed", "jc", "scan", "output", "label", "description"}
-_MODEL_KEYS = {"ratio_r", "beta", "kappa0", "alpha_sq", "kappa_convention"}
-_TIME_KEYS = {"t_max", "points", "t_min"}
-_SPECTRUM_KEYS = {"n_min", "n_max"}
-_ED_KEYS = {"n_max", "variant", "initial_spin", "initial_fock", "check_truncation", "dim_ceiling"}
-_JC_KEYS = {"delta", "g", "alpha_sq", "corrected"}
-_SCAN_KEYS = {"ranges", "fixed", "horizon", "time_points", "kappa_convention", "grid_ceiling", "refine"}
-_RANGE_KEYS = {"min", "max", "steps"}
-_REFINE_KEYS = {"step_scales", "max_iters", "ftol", "bounds"}
-_OUTPUT_KEYS = {"path"}
+REQUIRED = object()
+"""Default of a key that has none: a config that omits it is rejected."""
 
 
-def _require_mapping(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(obj).__name__}")
-    return obj
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}; allowed keys are {sorted(allowed)}")
+# kind -> (accepts the JSON value, what the error message expects, cast)
+_KINDS = {
+    "number": (_is_number, "a number", float),
+    "integer": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", int),
+    "bool": (lambda v: isinstance(v, bool), "true/false", bool),
+    "string": (lambda v: isinstance(v, str), "a string", str),
+    "interval": (
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) and v[0] <= v[1],
+        "[lo, hi] with numbers lo <= hi",
+        lambda v: (float(v[0]), float(v[1])),
+    ),
+}
+
+_BOUNDS = ((">", operator.gt, "gt"), (">=", operator.ge, "ge"), ("<=", operator.le, "le"))
 
 
-def _number(obj: dict, key: str, path: str, *, required: bool = True, default=None):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+@dataclass(frozen=True)
+class Field:
+    """One JSON value: its kind, its default and its bounds.
+
+    ``kind`` is a key of ``_KINDS`` or, for an enumerated value, a dict from
+    the accepted strings to what readers receive.  A bound is a number or
+    the name of a key listed before this one in the same object.  Only a
+    ``nullable`` field accepts an explicit null.
+    """
+
+    kind: str | dict
+    default: object = REQUIRED
+    gt: float | str | None = None
+    ge: float | str | None = None
+    le: float | None = None
+    nullable: bool = False
 
 
-def _integer(obj: dict, key: str, path: str, *, required: bool = True, default=None):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-    return int(value)
+@dataclass(frozen=True)
+class MapOf:
+    """A JSON object from names to values of one shape; absent means empty."""
+
+    value: Field | dict
+    sweepable: bool = False
 
 
-def _boolean(obj: dict, key: str, path: str, *, default: bool) -> bool:
-    if key not in obj:
-        return default
-    value = obj[key]
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected true/false, got {value!r}")
+def _choice(enum, default, *, by_name: bool = False) -> Field:
+    return Field({(m.name if by_name else m.value): m for m in enum}, default)
+
+
+def _complete_refine(refine: dict, scan: dict) -> None:
+    """Match refine's axes to the swept ones; bound each axis not named by its sweep range."""
+    ranges = scan["ranges"]
+    swept = [name for name in SWEEPABLE if name in ranges]
+    if sorted(refine["step_scales"]) != sorted(swept):
+        raise ConfigError(f"scan.refine.step_scales: must cover exactly the swept axes {swept}")
+    for name in refine["bounds"]:
+        if name not in ranges:
+            raise ConfigError(f"scan.refine.bounds.{name}: not one of the swept axes {swept}")
+    refine["bounds"] = {**{n: (r["min"], r["max"]) for n, r in ranges.items()}, **refine["bounds"]}
+
+
+# A dict stands for a JSON object that accepts only its own keys.
+SCHEMA = {
+    "label": Field("string", None),
+    "description": Field("string", None),
+    "model": {
+        "ratio_r": Field("number"),
+        "beta": Field("number"),
+        "kappa0": Field("number", ModelParams.kappa0),
+        "alpha_sq": Field("number", ModelParams.alpha_sq),
+        "kappa_convention": _choice(KappaConvention, ModelParams.kappa_convention),
+    },
+    "time_grid": {
+        "t_min": Field("number", 0.0),
+        "t_max": Field("number", gt="t_min"),
+        "points": Field("integer", 2000, ge=2),
+    },
+    "tail_tol": Field("number", DEFAULT_TAIL_TOL, gt=0.0, le=1e-6),
+    "spectrum": {
+        "n_min": Field("integer", 0, ge=0),
+        "n_max": Field("integer", None, ge="n_min"),  # None: up to the Poisson cut
+    },
+    "ed": {
+        "n_max": Field("integer", None),  # None: required_n_max(alpha_sq)
+        "variant": _choice(HamiltonianVariant, EDConfig.variant),
+        "initial_spin": _choice(SpinState, SpinState.J1M0, by_name=True),
+        "initial_fock": Field("integer", None, nullable=True),  # None: coherent state
+        "check_truncation": Field("bool", True),
+        "dim_ceiling": Field("integer", EDConfig.dim_ceiling),
+    },
+    "jc": {
+        "delta": Field("number"),
+        "g": Field("number"),
+        "alpha_sq": Field("number"),
+        "corrected": Field("bool", True),
+    },
+    "scan": {
+        "ranges": MapOf(
+            {"min": Field("number"), "max": Field("number"), "steps": Field("integer")},
+            sweepable=True,
+        ),
+        "fixed": MapOf(Field("number"), sweepable=True),
+        "horizon": Field("number"),
+        "time_points": Field("integer", ScanSpec.time_points),
+        "kappa_convention": _choice(KappaConvention, ScanSpec.kappa_convention),
+        "grid_ceiling": Field("integer", ScanSpec.grid_ceiling),
+        "refine": {
+            "step_scales": MapOf(Field("number")),
+            "max_iters": Field("integer", 200),
+            "ftol": Field("number", 1e-8),
+            "bounds": MapOf(Field("interval")),
+        },
+    },
+    "output": {"path": Field("string", None)},
+}
+
+# object path -> check(object, keys listed before it in its parent), run on
+# the typed object to test and complete what depends on more than one key
+_CHECKS = {"scan.refine": _complete_refine}
+
+
+def _value(value, field: Field, path: str, siblings: dict):
+    if value is None and field.nullable:
+        return None
+    if isinstance(field.kind, dict):
+        if isinstance(value, str) and value in field.kind:
+            return field.kind[value]
+        raise ConfigError(f"{path}: expected one of {sorted(field.kind)}, got {value!r}")
+    accepts, expected, cast = _KINDS[field.kind]
+    if not accepts(value):
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    value = cast(value)
+    for symbol, holds, attr in _BOUNDS:
+        limit = getattr(field, attr)
+        bound = siblings[limit] if isinstance(limit, str) else limit
+        if bound is not None and not holds(value, bound):
+            shown = f"{limit} ({bound})" if isinstance(limit, str) else limit
+            raise ConfigError(f"{path}: must be {symbol} {shown}, got {value}")
     return value
 
 
-def _choice(obj: dict, key: str, path: str, table: dict, *, default=None):
-    if key not in obj:
-        return default
-    value = obj[key]
-    if value not in table:
-        raise ConfigError(f"{path}.{key}: expected one of {sorted(table)}, got {value!r}")
-    return table[value]
+def _walk(value, spec, path: str, siblings: dict | None = None):
+    """Validate ``value`` against ``spec``; return it typed, defaults filled in.
+
+    Absent fields take their default and absent maps are empty; absent
+    objects stay absent.
+    """
+    if isinstance(spec, Field):
+        return _value(value, spec, path, siblings)
+    where = path or "config"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(value).__name__}")
+    if isinstance(spec, MapOf):
+        for name in value:
+            if spec.sweepable and name not in SWEEPABLE:
+                raise ConfigError(f"{path}.{name}: not a sweepable parameter")
+        return {name: _walk(item, spec.value, f"{path}.{name}") for name, item in value.items()}
+    unknown = sorted(set(value) - set(spec))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}; allowed keys are {sorted(spec)}")
+    out = {}
+    for key, sub in spec.items():
+        sub_path = f"{path}.{key}" if path else key
+        if key in value:
+            out[key] = _walk(value[key], sub, sub_path, out)
+        elif isinstance(sub, MapOf):
+            out[key] = {}
+        elif isinstance(sub, Field):
+            if sub.default is REQUIRED:
+                raise ConfigError(f"{sub_path}: required")
+            out[key] = sub.default
+    if path in _CHECKS:
+        _CHECKS[path](out, siblings)
+    return out
 
 
 def validate_config(raw: dict) -> dict:
@@ -92,101 +210,7 @@ def validate_config(raw: dict) -> dict:
     Returns the input unchanged on success; raises ConfigError with a
     dotted path on the first problem found.
     """
-    _require_mapping(raw, "config")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-    if "model" in raw:
-        model = _require_mapping(raw["model"], "model")
-        _reject_unknown(model, _MODEL_KEYS, "model")
-        for key in ("ratio_r", "beta"):
-            _number(model, key, "model")
-        _number(model, "kappa0", "model", required=False)
-        _number(model, "alpha_sq", "model", required=False)
-        _choice(model, "kappa_convention", "model", _KAPPA_CONVENTIONS)
-    if "time_grid" in raw:
-        grid = _require_mapping(raw["time_grid"], "time_grid")
-        _reject_unknown(grid, _TIME_KEYS, "time_grid")
-        t_max = _number(grid, "t_max", "time_grid")
-        t_min = _number(grid, "t_min", "time_grid", required=False, default=0.0)
-        points = _integer(grid, "points", "time_grid", required=False, default=2000)
-        if points < 2:
-            raise ConfigError(f"time_grid.points: must be >= 2, got {points}")
-        if not t_max > t_min:
-            raise ConfigError(f"time_grid: t_max {t_max} must exceed t_min {t_min}")
-    if "tail_tol" in raw:
-        tail = raw["tail_tol"]
-        if isinstance(tail, bool) or not isinstance(tail, (int, float)):
-            raise ConfigError(f"tail_tol: expected a number, got {tail!r}")
-        if not 0.0 < float(tail) <= 1e-6:
-            raise ConfigError(f"tail_tol: must lie in (0, 1e-6], got {tail}")
-    if "spectrum" in raw:
-        spectrum = _require_mapping(raw["spectrum"], "spectrum")
-        _reject_unknown(spectrum, _SPECTRUM_KEYS, "spectrum")
-        n_min = _integer(spectrum, "n_min", "spectrum", required=False, default=0)
-        n_max = _integer(spectrum, "n_max", "spectrum", required=False)
-        if n_min < 0:
-            raise ConfigError(f"spectrum.n_min: must be >= 0, got {n_min}")
-        if n_max is not None and n_max < n_min:
-            raise ConfigError(f"spectrum: n_max {n_max} below n_min {n_min}")
-    if "ed" in raw:
-        ed = _require_mapping(raw["ed"], "ed")
-        _reject_unknown(ed, _ED_KEYS, "ed")
-        _integer(ed, "n_max", "ed", required=False)
-        _choice(ed, "variant", "ed", _VARIANTS)
-        _choice(ed, "initial_spin", "ed", _SPIN_STATES)
-        if "initial_fock" in ed and ed["initial_fock"] is not None:
-            _integer(ed, "initial_fock", "ed")
-        _boolean(ed, "check_truncation", "ed", default=True)
-        _integer(ed, "dim_ceiling", "ed", required=False)
-    if "jc" in raw:
-        jc = _require_mapping(raw["jc"], "jc")
-        _reject_unknown(jc, _JC_KEYS, "jc")
-        _number(jc, "delta", "jc")
-        _number(jc, "g", "jc")
-        _number(jc, "alpha_sq", "jc")
-        _boolean(jc, "corrected", "jc", default=True)
-    if "scan" in raw:
-        scan = _require_mapping(raw["scan"], "scan")
-        _reject_unknown(scan, _SCAN_KEYS, "scan")
-        ranges = _require_mapping(scan.get("ranges", {}), "scan.ranges")
-        for name, axis in ranges.items():
-            if name not in SWEEPABLE:
-                raise ConfigError(f"scan.ranges.{name}: not a sweepable parameter")
-            axis = _require_mapping(axis, f"scan.ranges.{name}")
-            _reject_unknown(axis, _RANGE_KEYS, f"scan.ranges.{name}")
-            _number(axis, "min", f"scan.ranges.{name}")
-            _number(axis, "max", f"scan.ranges.{name}")
-            _integer(axis, "steps", f"scan.ranges.{name}")
-        fixed = _require_mapping(scan.get("fixed", {}), "scan.fixed")
-        for name in fixed:
-            if name not in SWEEPABLE:
-                raise ConfigError(f"scan.fixed.{name}: not a sweepable parameter")
-            _number(fixed, name, "scan.fixed")
-        _number(scan, "horizon", "scan")
-        _integer(scan, "time_points", "scan", required=False)
-        _choice(scan, "kappa_convention", "scan", _KAPPA_CONVENTIONS)
-        _integer(scan, "grid_ceiling", "scan", required=False)
-        if "refine" in scan:
-            refine = _require_mapping(scan["refine"], "scan.refine")
-            _reject_unknown(refine, _REFINE_KEYS, "scan.refine")
-            steps = _require_mapping(refine.get("step_scales", {}), "scan.refine.step_scales")
-            for name in steps:
-                _number(steps, name, "scan.refine.step_scales")
-            _integer(refine, "max_iters", "scan.refine", required=False)
-            _number(refine, "ftol", "scan.refine", required=False)
-            if "bounds" in refine:
-                bounds = _require_mapping(refine["bounds"], "scan.refine.bounds")
-                for name, pair in bounds.items():
-                    if not (isinstance(pair, list) and len(pair) == 2):
-                        raise ConfigError(f"scan.refine.bounds.{name}: expected [lo, hi]")
-    if "output" in raw:
-        output = _require_mapping(raw["output"], "output")
-        _reject_unknown(output, _OUTPUT_KEYS, "output")
-        if "path" in output and not isinstance(output["path"], str):
-            raise ConfigError("output.path: expected a string")
-    if "label" in raw and not isinstance(raw["label"], str):
-        raise ConfigError("label: expected a string")
-    if "description" in raw and not isinstance(raw["description"], str):
-        raise ConfigError("description: expected a string")
+    _walk(raw, SCHEMA, "")
     return raw
 
 
@@ -203,66 +227,37 @@ def load_config(path: str | Path) -> dict:
     return validate_config(raw)
 
 
-def require_section(cfg: dict, name: str) -> dict:
-    if name not in cfg:
+def section(cfg: dict, name: str, *, required: bool = False):
+    """One top-level entry of ``cfg``, typed, with the schema's defaults filled in."""
+    spec = SCHEMA[name]
+    if name in cfg:
+        return _walk(cfg[name], spec, name)
+    if required:
         raise ConfigError(f"this command requires a {name!r} section in the config")
-    return cfg[name]
+    return spec.default if isinstance(spec, Field) else _walk({}, spec, name)
 
 
 def params_from_config(cfg: dict) -> ModelParams:
-    model = require_section(cfg, "model")
-    return ModelParams(
-        ratio_r=float(model["ratio_r"]),
-        beta=float(model["beta"]),
-        kappa0=float(model.get("kappa0", 0.0)),
-        alpha_sq=float(model.get("alpha_sq", 0.0)),
-        kappa_convention=_KAPPA_CONVENTIONS[model.get("kappa_convention", "omega0_scaled")],
-    )
+    return ModelParams(**section(cfg, "model", required=True))
 
 
 def times_from_config(cfg: dict) -> np.ndarray:
-    grid = require_section(cfg, "time_grid")
-    return np.linspace(
-        float(grid.get("t_min", 0.0)), float(grid["t_max"]), int(grid.get("points", 2000))
-    )
-
-
-def tail_tol_from_config(cfg: dict) -> float:
-    return float(cfg.get("tail_tol", DEFAULT_TAIL_TOL))
-
-
-def edconfig_from_config(cfg: dict, params: ModelParams) -> EDConfig:
-    ed = cfg.get("ed", {})
-    n_max = ed.get("n_max")
-    if n_max is None:
-        n_max = required_n_max(params.alpha_sq)
-    kwargs = {"n_max": int(n_max), "variant": _VARIANTS[ed.get("variant", "half_sum")]}
-    if "dim_ceiling" in ed:
-        kwargs["dim_ceiling"] = int(ed["dim_ceiling"])
-    return EDConfig(**kwargs)
+    grid = section(cfg, "time_grid", required=True)
+    return np.linspace(grid["t_min"], grid["t_max"], grid["points"])
 
 
 def scanspec_from_config(cfg: dict) -> ScanSpec:
-    from .errors import DomainError
-
-    scan = require_section(cfg, "scan")
+    scan = section(cfg, "scan", required=True)
     try:
-        ranges = {
-            name: AxisRange(min=float(a["min"]), max=float(a["max"]), steps=int(a["steps"]))
-            for name, a in scan.get("ranges", {}).items()
-        }
-        fixed = {name: float(v) for name, v in scan.get("fixed", {}).items()}
-        kwargs = {
-            "ranges": ranges,
-            "fixed": fixed,
-            "horizon": float(scan["horizon"]),
-            "time_points": int(scan.get("time_points", 2000)),
-            "kappa_convention": _KAPPA_CONVENTIONS[scan.get("kappa_convention", "omega0_scaled")],
-            "tail_tol": tail_tol_from_config(cfg),
-        }
-        if "grid_ceiling" in scan:
-            kwargs["grid_ceiling"] = int(scan["grid_ceiling"])
-        return ScanSpec(**kwargs)
+        return ScanSpec(
+            ranges={name: AxisRange(**axis) for name, axis in scan["ranges"].items()},
+            fixed=scan["fixed"],
+            horizon=scan["horizon"],
+            time_points=scan["time_points"],
+            kappa_convention=scan["kappa_convention"],
+            tail_tol=section(cfg, "tail_tol"),
+            grid_ceiling=scan["grid_ceiling"],
+        )
     except DomainError as exc:
         # a structurally inconsistent scan request is a configuration problem
         raise ConfigError(f"scan: {exc}") from exc

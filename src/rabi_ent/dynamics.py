@@ -20,6 +20,17 @@ from .spectrum import aa_row, aa_rows
 _TIME_BLOCK = 4096
 
 
+def _as_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise DomainError("times must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(times)):
+        raise DomainError("times must be finite")
+    if times.size > 1 and not np.all(np.diff(times) > 0.0):
+        raise DomainError("times must be strictly increasing")
+    return times
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """A strictly increasing time grid with named value channels."""
@@ -28,13 +39,7 @@ class TimeSeries:
     channels: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size == 0:
-            raise DomainError("times must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(times)):
-            raise DomainError("times must be finite")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
-            raise DomainError("times must be strictly increasing")
+        times = _as_times(self.times)
         object.__setattr__(self, "times", times)
         channels = {}
         for name, values in self.channels.items():
@@ -45,17 +50,6 @@ class TimeSeries:
                 raise DomainError(f"channel {name!r} contains non-finite values")
             channels[name] = values
         object.__setattr__(self, "channels", channels)
-
-
-def _as_times(times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise DomainError("times must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(times)):
-        raise DomainError("times must be finite")
-    if times.size > 1 and not np.all(np.diff(times) > 0.0):
-        raise DomainError("times must be strictly increasing")
-    return times
 
 
 def _cosine_average(coeff: np.ndarray, freqs: np.ndarray, times: np.ndarray) -> np.ndarray:

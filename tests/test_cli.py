@@ -1,10 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rabi_ent.cli import load_preset, main, preset_name
+from rabi_ent.config import SCHEMA, MapOf, section, validate_config
 
 AA_VALID_MODEL = {"ratio_r": 0.05, "beta": 0.2, "kappa0": 0.0, "alpha_sq": 9.0}
 
@@ -277,7 +279,10 @@ _BASES = {
         "time_grid": {"t_max": 2.0, "points": 3},
         "ed": {"n_max": 16, "check_truncation": False},
     },
-    "jc": {"jc": {"delta": 0.0, "g": 1.0, "alpha_sq": 4.0}, "time_grid": {"t_max": 2.0, "points": 3}},
+    "jc": {
+        "jc": {"delta": 0.0, "g": 1.0, "alpha_sq": 4.0},
+        "time_grid": {"t_max": 2.0, "points": 3},
+    },
     "scan": {
         "scan": {
             "ranges": {"beta": {"min": 0.3, "max": 0.5, "steps": 3}},
@@ -305,7 +310,8 @@ def _edited(command: str, dotted: str, value):
 
 def _case(command, dotted, value, code, path):
     shown = "missing" if value is _DELETE else repr(value)
-    return pytest.param(command, _edited(command, dotted, value), code, path, id=f"{command}-{dotted}={shown}")
+    cfg = _edited(command, dotted, value)
+    return pytest.param(command, cfg, code, path, id=f"{command}-{dotted}={shown}")
 
 
 _REJECTIONS = [
@@ -371,6 +377,7 @@ _REJECTIONS = [
     _case("oracle", "ed.variant", "full_sum", 2, "ed.variant"),
     _case("oracle", "ed.initial_spin", "1,0", 2, "ed.initial_spin"),
     _case("scan", "scan.kappa_convention", 1, 2, "scan.kappa_convention"),
+    _case("tprob", "model.kappa_convention", [], 2, "model.kappa_convention"),
     # bounds checked at load
     _case("tprob", "time_grid.points", 1, 2, "time_grid.points"),
     _case("tprob", "time_grid.t_max", 0.0, 2, "time_grid"),
@@ -390,6 +397,9 @@ _REJECTIONS = [
     _case("scan", "scan.time_points", 1, 2, "scan"),
     _case("scan", "scan.refine.step_scales", {}, 2, "scan.refine.step_scales"),
     _case("scan", "scan.refine.step_scales.kappa0", 0.01, 2, "scan.refine.step_scales"),
+    _case("scan", "scan.refine.bounds.beta", ["a", "b"], 2, "scan.refine.bounds.beta"),
+    _case("scan", "scan.refine.bounds.betta", [0.3, 0.5], 2, "scan.refine.bounds.betta"),
+    _case("scan", "scan.refine.bounds.beta", [0.5, 0.3], 2, "scan.refine.bounds.beta"),
     # each command needs its sections
     _case("tprob", "model", _DELETE, 2, "model"),
     _case("tprob", "time_grid", _DELETE, 2, "time_grid"),
@@ -420,3 +430,45 @@ def test_rejection_table_bases_are_valid(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     cfg_path = write_config(tmp_path / "cfg.json", _BASES[command])
     assert main([command, "--config", cfg_path, "--out", "out.csv"]) == 0
+
+
+def test_refine_bounds_default_to_the_sweep_range_per_axis():
+    cfg = {
+        "scan": {
+            "ranges": {
+                "beta": {"min": 0.3, "max": 0.5, "steps": 3},
+                "alpha_sq": {"min": 8.0, "max": 10.0, "steps": 3},
+            },
+            "fixed": {"ratio_r": 0.12, "kappa0": 0.02},
+            "horizon": 5.0,
+            "refine": {
+                "step_scales": {"beta": 0.01, "alpha_sq": 0.5},
+                "bounds": {"beta": [0.35, 0.45]},
+            },
+        }
+    }
+    options = section(validate_config(cfg), "scan")["refine"]
+    assert options["bounds"] == {"beta": (0.35, 0.45), "alpha_sq": (8.0, 10.0)}
+    assert (options["max_iters"], options["ftol"]) == (200, 1e-8)
+
+
+def _readme_schema_block() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    return json.loads(re.sub(r"//[^\n]*", "", block))
+
+
+def test_readme_schema_block_is_valid_and_names_every_key():
+    block = validate_config(_readme_schema_block())
+
+    def walk(spec, value, path):
+        if isinstance(spec, dict):
+            for key, sub in spec.items():
+                assert key in value, f"README schema block omits {path}{key}"
+                walk(sub, value[key], f"{path}{key}.")
+        elif isinstance(spec, MapOf):
+            assert value, f"README schema block shows no entry of {path[:-1]}"
+            for name, item in value.items():
+                walk(spec.value, item, f"{path}{name}.")
+
+    walk(SCHEMA, block, "")
