@@ -4,7 +4,7 @@ Subcommands compute the closed-form spectrum, the averaged transition
 probability, the dense-oracle populations, the JC inversion comparator, or
 a parameter scan, and write a CSV plus a JSON sidecar with the fully
 resolved configuration.  Identical config and package version produce
-byte-identical output files.
+byte-identical output files at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -158,6 +158,12 @@ def _scan(cfg: dict):
     best = result.best_objective
     options = section(cfg, "scan", required=True).get("refine")
     if options is not None:
+        for name, (lo, hi) in options["bounds"].items():
+            if not lo <= result.best_point[name] <= hi:
+                raise ConfigError(
+                    f"scan.refine.bounds.{name}: [{lo}, {hi}] excludes the refine start, "
+                    f"the grid's best point {name} = {result.best_point[name]}"
+                )
         refined = refine(result.best_point, spec=spec, **options)
         summary["refined_point"] = refined.best_point
         summary["refined_objective"] = refined.best_objective

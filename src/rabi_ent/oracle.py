@@ -1,16 +1,16 @@
 """Brute-force ground truth in a truncated Fock space.
 
-Builds the full two-qubit/oscillator Hamiltonian as a dense real symmetric
-matrix, diagonalizes it, evolves the chosen initial state by spectral
-phases (exactly unitary at every time), and extracts spin-sector
-populations and two-qubit concurrence.
+Builds the two-qubit/oscillator Hamiltonian as dense real symmetric
+matrices, one per parity block, diagonalizes them, evolves the chosen
+initial state by spectral phases (exactly unitary at every time), and
+extracts spin-sector populations and two-qubit concurrence.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -57,14 +57,7 @@ _COMPOSITE_TO_PRODUCT = np.array(
 )
 
 # sigma_y (x) sigma_y in the product basis, used by the spin-flip construction
-_SYSY = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ]
-)
+_SYSY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
 
 
 class HamiltonianVariant(Enum):
@@ -122,6 +115,13 @@ def required_n_max(alpha_sq: float) -> int:
     return math.ceil(alpha_sq + 10.0 * math.sqrt(alpha_sq + 1.0))
 
 
+def _check_capacity(config: EDConfig) -> None:
+    if config.dim > config.dim_ceiling:
+        raise CapacityError(
+            f"dimension {config.dim} exceeds the ceiling {config.dim_ceiling}"
+        )
+
+
 def build_hamiltonian(params: ModelParams, config: EDConfig) -> np.ndarray:
     """Dense real symmetric Hamiltonian, basis (composite spin) x (Fock number).
 
@@ -129,10 +129,7 @@ def build_hamiltonian(params: ModelParams, config: EDConfig) -> np.ndarray:
     weighted by the variant's qubit-sum operator, the transverse qubit term,
     and the inter-qubit coupling.  The |0,0> spin sector couples to nothing.
     """
-    if config.dim > config.dim_ceiling:
-        raise CapacityError(
-            f"dimension {config.dim} exceeds the ceiling {config.dim_ceiling}"
-        )
+    _check_capacity(config)
     n_osc = config.n_max + 1
     eye_osc = np.eye(n_osc)
     ladder = np.diag(np.sqrt(np.arange(1.0, n_osc)), 1)
@@ -144,6 +141,32 @@ def build_hamiltonian(params: ModelParams, config: EDConfig) -> np.ndarray:
     h += omega * params.beta * np.kron(sector_op, position)
     h -= 0.5 * params.ratio_r * omega * np.kron(_SX_SUM, eye_osc)
     h -= effective_kappa(params) * omega * np.kron(_SX_PROD, eye_osc)
+    return h
+
+
+def _parity_signs(n_osc: int, parity: int) -> np.ndarray:
+    """e_n = (-1)^(n + parity) for n = 0..n_osc-1."""
+    return np.where((np.arange(n_osc) + parity) % 2 == 0, 1.0, -1.0)
+
+
+def _parity_block(params: ModelParams, config: EDConfig, parity: int) -> np.ndarray:
+    """The triplet part of ``build_hamiltonian`` with parity (-1)^parity.
+
+    The parity swap(|1,1>, |1,-1>) (x) (-1)^(a^dag a) commutes with H.  The
+    block's basis is s_n = (|1,1>|n> + e_n |1,-1>|n>)/sqrt(2) for n = 0..n_max,
+    e_n = (-1)^(n + parity), then |1,0>|m> for m = parity, parity + 2, ...;
+    the couplings are s_n-s_(n+1) (oscillator) and s_m-|1,0>|m> (transverse).
+    """
+    n_osc = config.n_max + 1
+    ms = np.arange(parity, n_osc, 2)
+    coupling = params.beta if config.variant is HamiltonianVariant.HALF_SUM else 2.0 * params.beta
+    omega, kappa = params.omega, effective_kappa(params)
+    h = np.zeros((n_osc + ms.size, n_osc + ms.size))
+    s, t = np.arange(n_osc), n_osc + np.arange(ms.size)
+    h[s, s] = omega * (s - kappa * _parity_signs(n_osc, parity))
+    h[s[:-1], s[1:]] = h[s[1:], s[:-1]] = omega * coupling * np.sqrt(s[1:])
+    h[t, t] = omega * (ms - kappa)
+    h[ms, t] = h[t, ms] = -params.ratio_r * omega
     return h
 
 
@@ -187,27 +210,33 @@ def coherent_amplitudes(alpha_sq: float, n_max: int) -> np.ndarray:
     return np.exp(log_amp)
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix (product basis).
+def concurrence(rho: np.ndarray) -> float | np.ndarray:
+    """Wootters concurrence of two-qubit density matrices (product basis).
 
-    Square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy), sorted
-    descending; the concurrence is max(0, l1 - l2 - l3 - l4).
+    ``rho`` is one 4x4 matrix, giving a float, or a stack (..., 4, 4), giving
+    an array.  The l_i, the square roots of the eigenvalues of
+    rho (sy x sy) rho* (sy x sy), are taken as the singular values of
+    sqrt(rho) (sy x sy) sqrt(rho)*, from Hermitian and SVD routines only;
+    the concurrence is max(0, l1 - l2 - l3 - l4).
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise DomainError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
+    if not np.all(np.isfinite(rho)):
         raise DomainError("density matrix contains non-finite entries")
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
+    adjoint = rho.conj().swapaxes(-1, -2)
+    if np.any(np.abs(rho - adjoint) > 1e-10):
         raise DomainError("density matrix is not Hermitian within 1e-10")
-    if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if np.any(np.abs(trace.real - 1.0) > 1e-10) or np.any(np.abs(trace.imag) > 1e-10):
         raise DomainError("density matrix trace differs from 1 by more than 1e-10")
-    if float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()) < -1e-10:
+    evals, evecs = np.linalg.eigh(0.5 * (rho + adjoint))
+    if np.any(evals[..., 0] < -1e-10):
         raise DomainError("density matrix is not positive semidefinite within 1e-10")
-    rho_tilde = _SYSY @ rho.conj() @ _SYSY
-    eigs = np.linalg.eigvals(rho @ rho_tilde)
-    lams = np.sort(np.sqrt(np.clip(eigs.real, 0.0, None)))[::-1]
-    return float(min(1.0, max(0.0, lams[0] - lams[1] - lams[2] - lams[3])))
+    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    lams = np.linalg.svd(root @ _SYSY @ root.conj(), compute_uv=False)
+    conc = np.clip(lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3], 0.0, 1.0)
+    return float(conc) if conc.ndim == 0 else conc
 
 
 def _initial_vector(
@@ -244,38 +273,47 @@ def _initial_vector(
     return psi0
 
 
-def _evolve_populations(
+def _evolve_amplitudes(
     params: ModelParams,
     config: EDConfig,
     times: np.ndarray,
     initial_spin: SpinState,
     initial_fock: int | None,
-    keep_states: bool,
-) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray, np.ndarray | None]:
-    h = build_hamiltonian(params, config)
-    evals, evecs = eigendecompose(h)
-    psi0 = _initial_vector(params, config, initial_spin, initial_fock)
-    coeff0 = evecs.T @ psi0
-    phases = np.exp(-1j * np.outer(evals, times))
-    states = evecs @ (phases * coeff0[:, None])
+) -> tuple[np.ndarray, np.ndarray]:
+    """The full sorted spectrum and the sector amplitudes, shape (T, 4, n_osc).
+
+    Each parity block is diagonalized on its own and evolved with two real
+    products; the |0,0> sector has energies omega*(n + k_eff) and needs none.
+    """
+    _check_capacity(config)
     n_osc = config.n_max + 1
-    sectors = states.reshape(SPIN_DIM, n_osc, times.size)
-    pops = np.sum(np.abs(sectors) ** 2, axis=1)
-    channels = {
-        "P11": pops[0],
-        "P1m1": pops[1],
-        "P10": pops[2],
-        "P00": pops[3],
-    }
-    conc = np.empty(times.size)
-    for j in range(times.size):
-        block = sectors[:, :, j]
-        rho_composite = block @ block.conj().T
-        rho = _COMPOSITE_TO_PRODUCT @ rho_composite @ _COMPOSITE_TO_PRODUCT.T
-        # renormalize away the coherent-state truncation deficit (~1e-24)
-        rho = rho / np.trace(rho).real
-        conc[j] = concurrence(rho)
-    return evals, channels, conc, states if keep_states else None
+    psi0 = _initial_vector(params, config, initial_spin, initial_fock).reshape(SPIN_DIM, n_osc)
+    amps = np.zeros((times.size, SPIN_DIM, n_osc), dtype=complex)
+    spectra = [params.omega * (np.arange(n_osc) + effective_kappa(params))]
+    if psi0[3].any():  # otherwise the |0,0> amplitudes stay zero
+        amps[:, 3] = psi0[3] * np.exp(-1j * np.outer(times, spectra[0]))
+    for parity in (0, 1):
+        signs = _parity_signs(n_osc, parity)
+        psi = np.concatenate([(psi0[0] + signs * psi0[1]) * _SQRT_HALF, psi0[2, parity::2]])
+        evals, evecs = eigendecompose(_parity_block(params, config, parity))
+        spectra.append(evals)
+        coeff, phase = evecs.T @ psi, np.outer(times, evals)
+        block = np.empty(phase.shape, dtype=complex)
+        block.real = (np.cos(phase) * coeff) @ evecs.T
+        block.imag = (np.sin(phase) * -coeff) @ evecs.T
+        # s_n of both blocks combine into |1,1>|n> and, with sign e_n, |1,-1>|n>
+        amps[:, 0] += block[:, :n_osc]
+        amps[:, 1] += (1 - 2 * parity) * block[:, :n_osc]
+        amps[:, 2, parity::2] = block[:, n_osc:]
+    amps[:, 0] *= _SQRT_HALF
+    amps[:, 1] *= _parity_signs(n_osc, 0) * _SQRT_HALF
+    return np.sort(np.concatenate(spectra)), amps
+
+
+def _populations(amps: np.ndarray) -> dict[str, np.ndarray]:
+    parts = amps.view(float)
+    pops = np.einsum("tkn,tkn->kt", parts, parts)
+    return {"P11": pops[0], "P1m1": pops[1], "P10": pops[2], "P00": pops[3]}
 
 
 def evolve(
@@ -297,18 +335,23 @@ def evolve(
     n_max + 20 unless ``compute_truncation_error`` is off.
     """
     times = _as_times(times)
-    evals, channels, conc, states = _evolve_populations(
-        params, config, times, initial_spin, initial_fock, keep_states
-    )
+    evals, amps = _evolve_amplitudes(params, config, times, initial_spin, initial_fock)
+    channels = _populations(amps)
+    rho = _COMPOSITE_TO_PRODUCT @ (amps @ amps.conj().swapaxes(1, 2)) @ _COMPOSITE_TO_PRODUCT.T
+    # renormalize away the coherent-state truncation deficit (~1e-24)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    conc = concurrence(rho)
+    states = amps.transpose(1, 2, 0).reshape(-1, times.size) if keep_states else None
+    del amps  # freed before the larger re-run allocates its own
     truncation_error = None
     if compute_truncation_error:
-        bigger = EDConfig(
+        bigger = replace(
+            config,
             n_max=config.n_max + TRUNCATION_MARGIN,
-            variant=config.variant,
             dim_ceiling=config.dim_ceiling + SPIN_DIM * TRUNCATION_MARGIN,
         )
-        _, channels_big, _, _ = _evolve_populations(
-            params, bigger, times, initial_spin, initial_fock, False
+        channels_big = _populations(
+            _evolve_amplitudes(params, bigger, times, initial_spin, initial_fock)[1]
         )
         truncation_error = max(
             float(np.abs(channels[name] - channels_big[name]).max()) for name in channels

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +61,26 @@ def test_csv_floats_round_trip_exactly(tmp_path, monkeypatch):
     values = transition_prob(params_from_config(cfg), times).channels["T"]
     assert np.array_equal(data["t"], times)
     assert np.array_equal(data["T"], values)
+
+
+def test_oracle_output_agrees_across_blas_thread_counts(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    tables = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]),
+        }
+        out = tmp_path / f"threads_{threads}.csv"
+        config = root / "configs" / "fig4_desk_oracle.json"
+        command = [sys.executable, "-m", "rabi_ent.cli", "oracle", "--config", str(config)]
+        subprocess.run(command + ["--out", str(out)], env=env, check=True, capture_output=True)
+        tables.append(read_csv(out))
+    one, two = tables
+    assert one.dtype.names == ("t", "P11", "P1m1", "P10", "P00", "C")
+    for name in one.dtype.names:
+        assert np.abs(one[name] - two[name]).max() <= 1e-12, name
 
 
 def test_outputs_are_byte_identical_across_runs(tmp_path, monkeypatch):
@@ -400,6 +423,8 @@ _REJECTIONS = [
     _case("scan", "scan.refine.bounds.beta", ["a", "b"], 2, "scan.refine.bounds.beta"),
     _case("scan", "scan.refine.bounds.betta", [0.3, 0.5], 2, "scan.refine.bounds.betta"),
     _case("scan", "scan.refine.bounds.beta", [0.5, 0.3], 2, "scan.refine.bounds.beta"),
+    # checked after the grid scan: the bounds exclude the grid's best point
+    _case("scan", "scan.refine.bounds.beta", [0.31, 0.32], 2, "scan.refine.bounds.beta"),
     # each command needs its sections
     _case("tprob", "model", _DELETE, 2, "model"),
     _case("tprob", "time_grid", _DELETE, 2, "time_grid"),

@@ -332,3 +332,113 @@ def test_edconfig_validation():
 def test_required_n_max_examples():
     assert required_n_max(9.0) == math.ceil(9.0 + 10.0 * math.sqrt(10.0))
     assert required_n_max(0.0) == 10
+
+
+# --- parity-reduced evolution -------------------------------------------------
+#
+# evolve() diagonalizes the two triplet blocks of the parity
+# swap(|1,1>, |1,-1>) (x) (-1)^(a^dag a) and evolves the |0,0> sector in closed
+# form.  These tests hold it to the full composite-basis Hamiltonian.
+
+PARITY_PARAMS = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=1.0)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+# columns: |1,1>, |1,-1>, |1,0>, |0,0> in the product basis (uu, ud, du, dd)
+COMPOSITE_IN_PRODUCT = np.array(
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, -1.0], [0.0, 1.0, 0.0, 0.0]]
+) * np.array([1.0, 1.0, math.sqrt(0.5), math.sqrt(0.5)])
+
+
+def _parity_basis(n_max: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns |1,1>|n> + e_n |1,-1>|n> (unnormalized), then |1,0>|m> for m of the
+    block's parity; and the factor that normalizes each column."""
+    n_osc = n_max + 1
+    ms = list(range(parity, n_osc, 2))
+    basis = np.zeros((4 * n_osc, n_osc + len(ms)))
+    for n in range(n_osc):
+        basis[n, n] = 1.0
+        basis[n_osc + n, n] = (-1.0) ** (n + parity)
+    for j, m in enumerate(ms):
+        basis[2 * n_osc + m, n_osc + j] = 1.0
+    scale = np.concatenate([np.full(n_osc, math.sqrt(0.5)), np.ones(len(ms))])
+    return basis, scale
+
+
+@pytest.mark.parametrize("variant", list(HamiltonianVariant))
+@pytest.mark.parametrize("n_max", [12, 13])
+def test_parity_blocks_are_projections_of_the_full_hamiltonian(variant, n_max):
+    from rabi_ent.oracle import _parity_block
+
+    config = EDConfig(n_max=n_max, variant=variant)
+    h = build_hamiltonian(PARITY_PARAMS, config)
+    norm = np.linalg.norm(h, 2)
+    even, odd = (_parity_basis(n_max, parity) for parity in (0, 1))
+    assert np.all(even[0].T @ h @ odd[0] == 0.0)
+    for parity, (basis, scale) in enumerate((even, odd)):
+        projector = basis * scale
+        block = _parity_block(PARITY_PARAMS, config, parity)
+        assert block.shape == (projector.shape[1],) * 2
+        assert np.abs(block - projector.T @ h @ projector).max() <= 1e-14 * norm
+
+
+def test_evolve_spectrum_is_the_full_spectrum():
+    config = EDConfig(n_max=17)
+    result = evolve(PARITY_PARAMS, config, [0.0, 1.0], compute_truncation_error=False)
+    full, _ = eigendecompose(build_hamiltonian(PARITY_PARAMS, config))
+    assert result.eigenvalues.shape == (config.dim,)
+    assert np.abs(result.eigenvalues - full).max() <= 1e-10
+
+
+def _wootters(rho: np.ndarray) -> float:
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    lams = np.linalg.svd(root @ np.kron(SIGMA_Y, SIGMA_Y) @ root.conj(), compute_uv=False)
+    return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
+
+
+@pytest.mark.parametrize("initial_fock", [None, 5])
+@pytest.mark.parametrize("spin", list(SpinState))
+def test_evolve_matches_full_space_dense_evolution(spin, initial_fock):
+    config = EDConfig(n_max=17)
+    n_osc = config.n_max + 1
+    times = np.linspace(0.0, 60.0, 31)
+    result = evolve(
+        PARITY_PARAMS,
+        config,
+        times,
+        initial_spin=spin,
+        initial_fock=initial_fock,
+        compute_truncation_error=False,
+        keep_states=True,
+    )
+    sector = [SpinState.J1M1, SpinState.J1M_MINUS1, SpinState.J1M0, SpinState.J0M0].index(spin)
+    psi0 = np.zeros((4, n_osc))
+    if initial_fock is None:
+        psi0[sector] = coherent_amplitudes(PARITY_PARAMS.alpha_sq, config.n_max)
+    else:
+        psi0[sector, initial_fock] = 1.0
+    evals, evecs = np.linalg.eigh(build_hamiltonian(PARITY_PARAMS, config))
+    coeff = evecs.T @ psi0.ravel()
+    states = evecs @ (np.exp(-1j * np.outer(evals, times)) * coeff[:, None])
+    assert result.states.shape == states.shape
+    assert np.abs(result.states - states).max() <= 1e-10
+    sectors = states.reshape(4, n_osc, times.size)
+    pops = np.sum(np.abs(sectors) ** 2, axis=1)
+    for row, name in enumerate(("P11", "P1m1", "P10", "P00")):
+        assert np.abs(result.populations.channels[name] - pops[row]).max() <= 1e-10
+    for j in range(times.size):
+        rho = COMPOSITE_IN_PRODUCT @ (sectors[:, :, j] @ sectors[:, :, j].conj().T)
+        rho = rho @ COMPOSITE_IN_PRODUCT.T
+        expected = _wootters(rho / np.trace(rho).real)
+        assert result.concurrence.channels["C"][j] == pytest.approx(expected, abs=1e-10)
+
+
+def test_concurrence_of_a_stack_matches_each_matrix():
+    bell = np.outer(BELL_SYMMETRIC, BELL_SYMMETRIC)
+    stack = np.array([p * bell + (1.0 - p) * np.eye(4) / 4.0 for p in (0.2, 0.5, 0.7, 1.0)])
+    values = concurrence(stack.reshape(2, 2, 4, 4))
+    assert values.shape == (2, 2)
+    assert values.ravel() == pytest.approx([concurrence(rho) for rho in stack], abs=1e-15)
+    assert values.ravel() == pytest.approx([0.0, 0.25, 0.55, 1.0], abs=1e-12)
+    stack[2] = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(DomainError):
+        concurrence(stack)
