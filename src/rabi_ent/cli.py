@@ -29,7 +29,7 @@ from .config import (
 from .dynamics import jc_inversion, transition_prob
 from .errors import CapacityError, ConfigError, DomainError
 from .oracle import EDConfig, evolve, required_n_max
-from .scan import grid_scan, refine
+from .scan import StartOutsideBounds, grid_scan, refine
 from .spectrum import aa_rows
 from .specialfn import poisson_logweights
 
@@ -158,13 +158,12 @@ def _scan(cfg: dict):
     best = result.best_objective
     options = section(cfg, "scan", required=True).get("refine")
     if options is not None:
-        for name, (lo, hi) in options["bounds"].items():
-            if not lo <= result.best_point[name] <= hi:
-                raise ConfigError(
-                    f"scan.refine.bounds.{name}: [{lo}, {hi}] excludes the refine start, "
-                    f"the grid's best point {name} = {result.best_point[name]}"
-                )
-        refined = refine(result.best_point, spec=spec, **options)
+        try:
+            refined = refine(result.best_point, spec=spec, **options)
+        except StartOutsideBounds as exc:
+            raise ConfigError(
+                f"scan.refine.bounds.{exc.axis}: must contain the grid's best point; {exc}"
+            ) from exc
         summary["refined_point"] = refined.best_point
         summary["refined_objective"] = refined.best_objective
         summary["refine_trace"] = [

@@ -57,7 +57,14 @@ _COMPOSITE_TO_PRODUCT = np.array(
 )
 
 # sigma_y (x) sigma_y in the product basis, used by the spin-flip construction
-_SYSY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+_SYSY = np.array(
+    [
+        [0.0, 0.0, 0.0, -1.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0],
+    ]
+)
 
 
 class HamiltonianVariant(Enum):
@@ -233,7 +240,8 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     evals, evecs = np.linalg.eigh(0.5 * (rho + adjoint))
     if np.any(evals[..., 0] < -1e-10):
         raise DomainError("density matrix is not positive semidefinite within 1e-10")
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    scaled = evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
+    root = scaled @ evecs.conj().swapaxes(-1, -2)
     lams = np.linalg.svd(root @ _SYSY @ root.conj(), compute_uv=False)
     conc = np.clip(lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3], 0.0, 1.0)
     return float(conc) if conc.ndim == 0 else conc
@@ -290,8 +298,7 @@ def _evolve_amplitudes(
     psi0 = _initial_vector(params, config, initial_spin, initial_fock).reshape(SPIN_DIM, n_osc)
     amps = np.zeros((times.size, SPIN_DIM, n_osc), dtype=complex)
     spectra = [params.omega * (np.arange(n_osc) + effective_kappa(params))]
-    if psi0[3].any():  # otherwise the |0,0> amplitudes stay zero
-        amps[:, 3] = psi0[3] * np.exp(-1j * np.outer(times, spectra[0]))
+    amps[:, 3] = psi0[3] * np.exp(-1j * np.outer(times, spectra[0]))
     for parity in (0, 1):
         signs = _parity_signs(n_osc, parity)
         psi = np.concatenate([(psi0[0] + signs * psi0[1]) * _SQRT_HALF, psi0[2, parity::2]])

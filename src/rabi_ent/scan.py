@@ -103,6 +103,14 @@ class ScanResult:
     metadata: dict = field(default_factory=dict)
 
 
+class StartOutsideBounds(DomainError):
+    """The refine start point lies outside the box bounds on ``axis``."""
+
+    def __init__(self, axis: str, message: str) -> None:
+        super().__init__(message)
+        self.axis = axis
+
+
 def objective(
     params: ModelParams,
     horizon: float,
@@ -203,8 +211,9 @@ def refine(
     lo = np.array([bounds[n][0] if bounds and n in bounds else -np.inf for n in names])
     hi = np.array([bounds[n][1] if bounds and n in bounds else np.inf for n in names])
     x0 = np.array([float(start_point[n]) for n in names])
-    if np.any(x0 < lo) or np.any(x0 > hi):
-        raise DomainError("start_point lies outside the box bounds")
+    for name, x, a, b in zip(names, x0, lo, hi):
+        if not a <= x <= b:
+            raise StartOutsideBounds(name, f"start {name} = {x} lies outside the box [{a}, {b}]")
 
     def evaluate(x: np.ndarray) -> tuple[float, float, np.ndarray]:
         clamped = np.clip(x, lo, hi)
