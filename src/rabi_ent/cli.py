@@ -30,7 +30,7 @@ from .dynamics import jc_inversion, transition_prob
 from .errors import CapacityError, ConfigError, DomainError
 from .oracle import EDConfig, evolve, required_n_max
 from .scan import StartOutsideBounds, grid_scan, refine
-from .spectrum import aa_rows
+from .spectrum import aa_columns
 from .specialfn import poisson_logweights
 
 _PRESET_PANELS = {1: 4, 2: 3, 3: 3, 4: 1}
@@ -95,13 +95,10 @@ def _spectrum(cfg: dict):
     n_min, n_max = rows_cfg["n_min"], rows_cfg["n_max"]
     if n_max is None:
         n_max = poisson_logweights(params.alpha_sq, section(cfg, "tail_tol")).n_cut
-    rows = aa_rows(params, n_max, n_min)
+    columns = aa_columns(params, n_max, n_min)
     header = ("N", "omega1N", "omega2N", "t0tilde", "e0", "eplus", "eminus", "weight", "rabi_freq")
-    csv_rows = (
-        (str(r.N), r.omega1N, r.omega2N, r.t0tilde, r.e0, r.eplus, r.eminus, r.weight, r.rabi_freq)
-        for r in rows
-    )
-    return header, csv_rows, {"n_min": n_min, "n_max": n_max}, f"({len(rows)} rows)"
+    rows = zip(columns["N"].astype(str), *(columns[name].tolist() for name in header[1:]))
+    return header, rows, {"n_min": n_min, "n_max": n_max}, f"({n_max - n_min + 1} rows)"
 
 
 def _tprob(cfg: dict):

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError
 from .params import ModelParams
 from .specialfn import DEFAULT_TAIL_TOL, poisson_logweights
-from .spectrum import aa_row, aa_rows
+from .spectrum import aa_columns, aa_row
 
 _TIME_BLOCK = 4096
 
@@ -39,21 +39,34 @@ class TimeSeries:
     channels: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        times = _as_times(self.times)
-        object.__setattr__(self, "times", times)
-        channels = {}
-        for name, values in self.channels.items():
-            values = np.asarray(values, dtype=float)
-            if values.shape != times.shape:
-                raise DomainError(f"channel {name!r} length does not match times")
-            if not np.all(np.isfinite(values)):
-                raise DomainError(f"channel {name!r} contains non-finite values")
-            channels[name] = values
-        object.__setattr__(self, "channels", channels)
+        _fill(self, _as_times(self.times), self.channels)
 
 
-def _cosine_average(coeff: np.ndarray, freqs: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """sum_N coeff_N * (1 - cos(freqs_N * t)), blocked over t to bound memory.
+def _series(times: np.ndarray, channels: dict) -> TimeSeries:
+    """A TimeSeries over a grid already returned by :func:`_as_times`, not checked again."""
+    series = object.__new__(TimeSeries)
+    _fill(series, times, channels)
+    return series
+
+
+def _fill(series: TimeSeries, times: np.ndarray, channels: dict) -> None:
+    """Check each channel against ``times`` and set both fields of the frozen series."""
+    checked = {}
+    for name, values in channels.items():
+        values = np.asarray(values, dtype=float)
+        if values.shape != times.shape:
+            raise DomainError(f"channel {name!r} length does not match times")
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"channel {name!r} contains non-finite values")
+        checked[name] = values
+    object.__setattr__(series, "times", times)
+    object.__setattr__(series, "channels", checked)
+
+
+def _cosine_average(
+    coeff: np.ndarray, freqs: np.ndarray, times: np.ndarray, shift: float
+) -> np.ndarray:
+    """sum_N coeff_N * (shift - cos(freqs_N * t)), blocked over t to bound memory.
 
     The contraction over N runs in a fixed order for every block, so the
     result is independent of the blocking.
@@ -61,7 +74,9 @@ def _cosine_average(coeff: np.ndarray, freqs: np.ndarray, times: np.ndarray) -> 
     out = np.empty_like(times)
     for start in range(0, times.size, _TIME_BLOCK):
         block = times[start : start + _TIME_BLOCK]
-        out[start : start + block.size] = coeff @ (1.0 - np.cos(np.outer(freqs, block)))
+        phases = np.outer(freqs, block)
+        np.cos(phases, out=phases)
+        out[start : start + block.size] = coeff @ np.subtract(shift, phases, out=phases)
     return out
 
 
@@ -77,10 +92,9 @@ def transition_prob(
     """
     times = _as_times(times)
     table = poisson_logweights(params.alpha_sq, tail_tol)
-    rows = aa_rows(params, table.n_cut)
-    coeff = table.masses() * np.array([row.weight for row in rows])
-    freqs = np.array([row.rabi_freq for row in rows])
-    return TimeSeries(times=times, channels={"T": _cosine_average(coeff, freqs, times)})
+    columns = aa_columns(params, table.n_cut)
+    coeff = table.masses() * columns["weight"]
+    return _series(times, {"T": _cosine_average(coeff, columns["rabi_freq"], times, 1.0)})
 
 
 def survival_prob(
@@ -88,9 +102,7 @@ def survival_prob(
 ) -> TimeSeries:
     """Stay probability 1 - 2 T(t), channel "P_stay"; values lie in [1/2, 1]."""
     base = transition_prob(params, times, tail_tol)
-    return TimeSeries(
-        times=base.times, channels={"P_stay": 1.0 - 2.0 * base.channels["T"]}
-    )
+    return _series(base.times, {"P_stay": 1.0 - 2.0 * base.channels["T"]})
 
 
 def jc_inversion(
@@ -126,11 +138,8 @@ def jc_inversion(
     om_sq = om * om
     const = float(np.dot(p, delta * delta / om_sq))
     osc_coeff = p * (4.0 * g * g * n_plus_1 / om_sq)
-    out = np.empty_like(times)
-    for start in range(0, times.size, _TIME_BLOCK):
-        block = times[start : start + _TIME_BLOCK]
-        out[start : start + block.size] = const + osc_coeff @ np.cos(np.outer(om, block))
-    return TimeSeries(times=times, channels={"W": out})
+    # const + osc_coeff @ cos(om t), written for the shared (shift - cos) kernel
+    return _series(times, {"W": const - _cosine_average(osc_coeff, om, times, 0.0)})
 
 
 def two_branch_interference_check(N: int, params: ModelParams, times) -> float:

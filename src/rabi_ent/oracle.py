@@ -15,9 +15,10 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import TimeSeries, _as_times
+from .dynamics import TimeSeries, _as_times, _series
 from .errors import CapacityError, DomainError, TruncationWarning
 from .params import ModelParams, SpinState, effective_kappa
+from .specialfn import poisson_logpmf
 
 SPIN_DIM = 4
 TRUNCATION_MARGIN = 20
@@ -207,14 +208,7 @@ def coherent_amplitudes(alpha_sq: float, n_max: int) -> np.ndarray:
     """Fock amplitudes of |alpha> with alpha = sqrt(alpha_sq), real and positive."""
     if alpha_sq < 0.0:
         raise DomainError(f"alpha_sq must be >= 0, got {alpha_sq}")
-    if alpha_sq == 0.0:
-        amps = np.zeros(n_max + 1)
-        amps[0] = 1.0
-        return amps
-    ns = np.arange(n_max + 1, dtype=float)
-    log_amp = -0.5 * alpha_sq + 0.5 * ns * math.log(alpha_sq)
-    log_amp -= 0.5 * np.array([math.lgamma(n + 1.0) for n in range(n_max + 1)])
-    return np.exp(log_amp)
+    return np.exp(0.5 * poisson_logpmf(alpha_sq, n_max))
 
 
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
@@ -372,8 +366,8 @@ def evolve(
             )
     return EDResult(
         eigenvalues=evals,
-        populations=TimeSeries(times=times, channels=channels),
-        concurrence=TimeSeries(times=times, channels={"C": conc}),
+        populations=_series(times, channels),
+        concurrence=_series(times, {"C": conc}),
         truncation_error=truncation_error,
         states=states,
     )

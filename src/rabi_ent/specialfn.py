@@ -39,14 +39,10 @@ def laguerre_sequence(n_max: int, x: float) -> np.ndarray:
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"argument must be finite and >= 0, got {x}")
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
-    if n_max == 0:
-        return out
-    out[1] = 1.0 - x
+    values = [1.0, 1.0 - x]
     for k in range(1, n_max):
-        out[k + 1] = ((2.0 * k + 1.0 - x) * out[k] - k * out[k - 1]) / (k + 1.0)
-    return out
+        values.append(((2.0 * k + 1.0 - x) * values[k] - k * values[k - 1]) / (k + 1.0))
+    return np.array(values[: n_max + 1])
 
 
 def laguerre(n: int, x: float) -> float:
@@ -86,12 +82,26 @@ class LogWeightTable:
         return np.exp(self.log_p)
 
 
-def poisson_logweights(alpha_sq: float, tail_tol: float = DEFAULT_TAIL_TOL) -> LogWeightTable:
-    """Poisson weights log p(N) = -alpha_sq + N log(alpha_sq) - log N!.
+def poisson_logpmf(alpha_sq: float, n_max: int) -> np.ndarray:
+    """log p(N) = -alpha_sq + N log(alpha_sq) - log N! for N = 0 .. n_max.
 
     Computed in log space, so there is no factorial overflow for any
-    practical table length.  The table stops at the first N whose
-    cumulative mass reaches 1 - tail_tol.
+    practical table length; at alpha_sq == 0 the vacuum has log p(0) = 0
+    and every other entry is -inf.
+    """
+    ns = np.arange(n_max + 1, dtype=float)
+    if alpha_sq == 0.0:
+        return np.where(ns == 0.0, 0.0, -np.inf)
+    log_p = -alpha_sq + ns * math.log(alpha_sq)
+    log_p -= np.array([math.lgamma(n + 1.0) for n in range(n_max + 1)])
+    return log_p
+
+
+def poisson_logweights(alpha_sq: float, tail_tol: float = DEFAULT_TAIL_TOL) -> LogWeightTable:
+    """Poisson weights log p(N) from :func:`poisson_logpmf`.
+
+    The table stops at the first N whose cumulative mass reaches
+    1 - tail_tol.
     """
     alpha_sq = float(alpha_sq)
     if not math.isfinite(alpha_sq) or alpha_sq < 0.0:
@@ -99,18 +109,12 @@ def poisson_logweights(alpha_sq: float, tail_tol: float = DEFAULT_TAIL_TOL) -> L
     tail_tol = float(tail_tol)
     if not 0.0 < tail_tol <= 1e-6:
         raise DomainError(f"tail_tol must lie in (0, 1e-6], got {tail_tol}")
-    if alpha_sq == 0.0:
-        return LogWeightTable(alpha_sq=0.0, log_p=np.zeros(1), tail_tol=tail_tol)
-
-    log_mean = math.log(alpha_sq)
     target = 1.0 - tail_tol
     n_hi = int(alpha_sq + 12.0 * math.sqrt(alpha_sq + 1.0) + 40.0)
     while True:
         if n_hi > 2_000_000:
             raise CapacityError("Poisson table would exceed 2e6 entries")
-        ns = np.arange(n_hi + 1, dtype=float)
-        log_p = -alpha_sq + ns * log_mean
-        log_p -= np.array([math.lgamma(n + 1.0) for n in range(n_hi + 1)])
+        log_p = poisson_logpmf(alpha_sq, n_hi)
         cum = np.cumsum(np.exp(log_p))
         hit = np.nonzero(cum >= target)[0]
         if hit.size:

@@ -5,12 +5,18 @@ displaced-sector states |1,1>|N_1>, |1,-1>|N_-1>, |1,0>|N_0>.  The
 antisymmetric combination of the outer two decouples at energy ``e0``;
 the symmetric combination and |1,0>|N_0> form a two-level system whose
 branches sit at ``eplus``/``eminus`` and oscillate at ``rabi_freq``.
+
+:func:`aa_columns` computes every field for a range of N as numpy columns;
+:func:`aa_row`, :func:`aa_rows`, :func:`omega_1N` and :func:`omega_2N` are
+views over those columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import DomainError
 from .params import ModelParams, effective_kappa
@@ -49,90 +55,71 @@ class AASpectrumRow:
     degenerate: bool = False
 
 
-def omega_1N(N: int, params: ModelParams) -> float:
-    """Coupling of |1,0>|N_0> to each outer displaced sector, in oscillator units.
+def aa_columns(params: ModelParams, n_max: int, n_min: int = 0) -> dict[str, np.ndarray]:
+    """Every :class:`AASpectrumRow` field for N = n_min .. n_max, one array per field.
 
-    Equals -(ratio_r/sqrt(2)) * exp(-beta^2/2) * L_N(beta^2).
+    Keys follow the field order of :class:`AASpectrumRow`.  Where omega1N == 0
+    the ``y_*``/``l2_*`` entries are NaN and the weight is 0.  One Laguerre
+    recurrence pass per argument serves every row.
     """
-    b2 = params.beta * params.beta
-    return -(params.ratio_r / _SQRT2) * math.exp(-0.5 * b2) * _laguerre_single(N, b2)
-
-
-def omega_2N(N: int, params: ModelParams) -> float:
-    """Direct coupling between the two outer displaced sectors.
-
-    Equals -kappa_eff * exp(-2 beta^2) * L_N(4 beta^2), with kappa_eff from
-    :func:`effective_kappa`.
-    """
-    b2 = params.beta * params.beta
-    return -effective_kappa(params) * math.exp(-2.0 * b2) * _laguerre_single(N, 4.0 * b2)
-
-
-def _laguerre_single(N: int, x: float) -> float:
-    return float(laguerre_sequence(N, x)[-1])
-
-
-def _row_from_overlaps(N: int, lag1: float, lag2: float, params: ModelParams) -> AASpectrumRow:
-    """Assemble a spectrum row from precomputed Laguerre values.
-
-    ``lag1`` is L_N(beta^2) and ``lag2`` is L_N(4 beta^2); the displacement
-    exponentials are applied here so batch and scalar paths share one code
-    path for the branch algebra.
-    """
+    if n_min < 0 or n_max < n_min:
+        raise DomainError(f"need 0 <= n_min <= n_max, got [{n_min}, {n_max}]")
     b2 = params.beta * params.beta
     k_eff = effective_kappa(params)
+    n = np.arange(n_min, n_max + 1)
+    lag1 = laguerre_sequence(n_max, b2)[n_min:]
+    lag2 = laguerre_sequence(n_max, 4.0 * b2)[n_min:]
     om1 = -(params.ratio_r / _SQRT2) * math.exp(-0.5 * b2) * lag1
     om2 = -k_eff * math.exp(-2.0 * b2) * lag2
     t0 = -b2 + k_eff + om2
-    radical = math.hypot(t0, _SQRT8 * om1)
-    e0 = N - b2 - om2
-    # the constant -k_eff offset shifts both bright branches equally and
-    # cancels from rabi_freq; it matters only for printed spectra
-    eplus = N - k_eff + 0.5 * (t0 + radical)
-    eminus = N - k_eff + 0.5 * (t0 - radical)
+    radical = np.hypot(t0, _SQRT8 * om1)
+    dark = om1 == 0.0
+    upper = t0 > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        weight = (om1 * om1) / (t0 * t0 + 8.0 * om1 * om1)
+        # where both squares under- or overflow, the same weight from their ratio
+        scaled = np.isnan(weight)
+        weight[scaled] = 1.0 / ((t0[scaled] / om1[scaled]) ** 2 + 8.0)
+        # quadratic roots of om1*y^2 + t0*y - 2*om1 = 0: evaluate the
+        # non-cancelling branch directly, recover the other from y+ * y- = -2
+        direct = np.where(upper, -t0 - radical, -t0 + radical) / (2.0 * om1)
+        direct[dark] = np.nan
+        other = -2.0 / direct
+        y_plus = np.where(upper, other, direct)
+        y_minus = np.where(upper, direct, other)
+        l2_plus = y_plus * y_plus + 2.0
+        l2_minus = y_minus * y_minus + 2.0
+    weight[dark] = 0.0
+    return {
+        "N": n,
+        "omega1N": om1,
+        "omega2N": om2,
+        "t0tilde": t0,
+        "e0": n - b2 - om2,
+        # the constant -k_eff offset shifts both bright branches equally and
+        # cancels from rabi_freq; it matters only for printed spectra
+        "eplus": n - k_eff + 0.5 * (t0 + radical),
+        "eminus": n - k_eff + 0.5 * (t0 - radical),
+        "y_plus": y_plus,
+        "y_minus": y_minus,
+        "l2_plus": l2_plus,
+        "l2_minus": l2_minus,
+        "weight": weight,
+        "rabi_freq": radical,
+        "degenerate": dark & (t0 == 0.0),
+    }
 
-    if om1 == 0.0:
-        return AASpectrumRow(
-            N=N,
-            omega1N=om1,
-            omega2N=om2,
-            t0tilde=t0,
-            e0=e0,
-            eplus=eplus,
-            eminus=eminus,
-            y_plus=None,
-            y_minus=None,
-            l2_plus=None,
-            l2_minus=None,
-            weight=0.0,
-            rabi_freq=radical,
-            degenerate=(t0 == 0.0),
-        )
 
-    weight = (om1 * om1) / (t0 * t0 + 8.0 * om1 * om1)
-    # quadratic roots of om1*y^2 + t0*y - 2*om1 = 0: evaluate the
-    # non-cancelling branch directly, recover the other from y+ * y- = -2
-    if t0 > 0.0:
-        y_minus = (-t0 - radical) / (2.0 * om1)
-        y_plus = -2.0 / y_minus
-    else:
-        y_plus = (-t0 + radical) / (2.0 * om1)
-        y_minus = -2.0 / y_plus
-    return AASpectrumRow(
-        N=N,
-        omega1N=om1,
-        omega2N=om2,
-        t0tilde=t0,
-        e0=e0,
-        eplus=eplus,
-        eminus=eminus,
-        y_plus=y_plus,
-        y_minus=y_minus,
-        l2_plus=y_plus * y_plus + 2.0,
-        l2_minus=y_minus * y_minus + 2.0,
-        weight=weight,
-        rabi_freq=radical,
-    )
+def aa_rows(params: ModelParams, n_max: int, n_min: int = 0) -> list[AASpectrumRow]:
+    """Spectrum rows for N = n_min .. n_max, one view per row of :func:`aa_columns`."""
+    columns = aa_columns(params, n_max, n_min)
+    rows = [AASpectrumRow(*values) for values in zip(*(c.tolist() for c in columns.values()))]
+    return [
+        replace(row, y_plus=None, y_minus=None, l2_plus=None, l2_minus=None)
+        if row.omega1N == 0.0
+        else row
+        for row in rows
+    ]
 
 
 def aa_row(N: int, params: ModelParams) -> AASpectrumRow:
@@ -142,20 +129,21 @@ def aa_row(N: int, params: ModelParams) -> AASpectrumRow:
     N = int(N)
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
-    b2 = params.beta * params.beta
-    lag1 = _laguerre_single(N, b2)
-    lag2 = _laguerre_single(N, 4.0 * b2)
-    return _row_from_overlaps(N, lag1, lag2, params)
+    return aa_rows(params, N, N)[0]
 
 
-def aa_rows(params: ModelParams, n_max: int, n_min: int = 0) -> list[AASpectrumRow]:
-    """Spectrum rows for N = n_min .. n_max, sharing one recurrence pass."""
-    if n_min < 0 or n_max < n_min:
-        raise DomainError(f"need 0 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    b2 = params.beta * params.beta
-    lag1 = laguerre_sequence(n_max, b2)
-    lag2 = laguerre_sequence(n_max, 4.0 * b2)
-    return [
-        _row_from_overlaps(N, float(lag1[N]), float(lag2[N]), params)
-        for N in range(n_min, n_max + 1)
-    ]
+def omega_1N(N: int, params: ModelParams) -> float:
+    """Coupling of |1,0>|N_0> to each outer displaced sector, in oscillator units.
+
+    Equals -(ratio_r/sqrt(2)) * exp(-beta^2/2) * L_N(beta^2).
+    """
+    return aa_row(N, params).omega1N
+
+
+def omega_2N(N: int, params: ModelParams) -> float:
+    """Direct coupling between the two outer displaced sectors.
+
+    Equals -kappa_eff * exp(-2 beta^2) * L_N(4 beta^2), with kappa_eff from
+    :func:`effective_kappa`.
+    """
+    return aa_row(N, params).omega2N

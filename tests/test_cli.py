@@ -83,6 +83,31 @@ def test_oracle_output_agrees_across_blas_thread_counts(tmp_path):
         assert np.abs(one[name] - two[name]).max() <= 1e-12, name
 
 
+CLOSED_FORM_RUNS = {
+    "tprob": ["--fig", "4"],
+    "spectrum": ["--fig", "4"],
+    "jc": ["--config", "configs/jc_revival.json"],
+    "scan": ["--config", "configs/beta_scan.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLOSED_FORM_RUNS))
+def test_closed_form_output_is_identical_across_blas_thread_counts(command, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]),
+        }
+        out = tmp_path / f"threads_{threads}.csv"
+        argv = [sys.executable, "-m", "rabi_ent.cli", command, *CLOSED_FORM_RUNS[command]]
+        subprocess.run(argv + ["--out", str(out)], cwd=root, env=env, check=True, capture_output=True)
+        outputs.append((out.read_bytes(), Path(f"{out}.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_outputs_are_byte_identical_across_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["tprob", "--fig", "1", "--panel", "2", "--out", "a.csv"]) == 0

@@ -18,6 +18,7 @@ from rabi_ent import (
     concurrence,
     eigendecompose,
     evolve,
+    poisson_logweights,
     required_n_max,
     transition_prob,
 )
@@ -121,6 +122,13 @@ def test_coherent_amplitudes_norm_and_values():
     assert amps[2] == pytest.approx(math.exp(-4.5) * alpha**2 / math.sqrt(2.0), rel=1e-13)
     vacuum = coherent_amplitudes(0.0, 5)
     assert vacuum[0] == 1.0 and np.all(vacuum[1:] == 0.0)
+
+
+@pytest.mark.parametrize("alpha_sq", [0.0, 0.0033, 0.37, 16.0, 106.0, 250.0])
+def test_coherent_amplitudes_are_square_roots_of_the_poisson_table(alpha_sq):
+    table = poisson_logweights(alpha_sq)
+    amps = coherent_amplitudes(alpha_sq, table.n_cut)
+    assert np.array_equal(amps, np.exp(0.5 * table.log_p))
 
 
 def test_evolve_requires_adequate_cutoff():

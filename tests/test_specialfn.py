@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -61,6 +62,48 @@ def test_laguerre_recurrence_residual():
         seq = laguerre_sequence(n + 1, x)
         residual = abs((n + 1) * seq[n + 1] - (2 * n + 1 - x) * seq[n] + n * seq[n - 1])
         assert residual <= 1e-10 * max(1.0, abs(seq[n + 1]))
+
+
+def laguerre_reference(n_max: int, x: float) -> list:
+    """L_0(x) .. L_{n_max}(x) for the exact double x, carried at 40 significant digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        values = [mpmath.mpf(1), 1 - x]
+        for k in range(1, n_max):
+            values.append(((2 * k + 1 - x) * values[k] - k * values[k - 1]) / (k + 1))
+        return values
+
+
+# Worst |error| of laguerre_sequence up to N = 5000, in units of the envelope
+# e^{x/2} >= |L_N(x)|, as measured against laguerre_reference, with about 2x
+# margin.  At dyadic x >= 1/16 the coefficient 2k+1-x is exact and the error
+# stays below 1.3e-13.  Elsewhere its rounding enters every step, and as
+# x -> 0 the error grows to 3.4e-10 (x = 1e-6).  The beta^2 and 4 beta^2 of
+# the fig3 and fig4 presets are in the second group.
+LAGUERRE_ENVELOPE_ERROR = [
+    *[(x, 1.3e-13) for x in (0.0625, 0.25, 1.0, 4.0, 16.0)],
+    (1e-6, 7e-10),
+    (1e-3, 1.3e-10),
+    (0.1, 5.4e-12),
+    (0.4193**2, 1.6e-12),
+    (4 * 0.4193**2, 1.1e-12),
+    (0.4717**2, 4.3e-12),
+    (4 * 0.4717**2, 2.5e-13),
+    (1.44, 6.3e-13),
+    (10.0, 1.3e-14),
+]
+
+
+@pytest.mark.parametrize("x, bound", LAGUERRE_ENVELOPE_ERROR)
+def test_laguerre_sequence_against_mpmath(x, bound):
+    reference = laguerre_reference(5000, x)
+    with mpmath.workdps(40):
+        for n in (2, 17, 500, 5000):
+            # the reference itself against mpmath's hypergeometric evaluation
+            assert abs(reference[n] - mpmath.laguerre(n, 0, x)) <= 1e-25 * math.exp(x / 2)
+    seq = laguerre_sequence(5000, x)
+    worst = max(abs(float(value - exact)) for value, exact in zip(seq.tolist(), reference))
+    assert worst <= bound * math.exp(x / 2)
 
 
 @pytest.mark.parametrize("bad_x", [-0.5, math.nan, math.inf])

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from rabi_ent import (
+    AASpectrumRow,
     AdiabaticRegimeWarning,
     DomainError,
     KappaConvention,
@@ -12,11 +13,14 @@ from rabi_ent import (
     aa_row,
     aa_rows,
     effective_kappa,
+    laguerre_sequence,
     omega_1N,
     omega_2N,
 )
+from rabi_ent.spectrum import aa_columns
 
 SQRT2 = math.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 def random_params(rng):
@@ -141,6 +145,91 @@ def test_batch_rows_match_scalar_rows():
     window = aa_rows(params, 40, n_min=30)
     assert [r.N for r in window] == list(range(30, 41))
     assert window[0] == batch[30]
+
+
+def scalar_row(N, lag1, lag2, params):
+    """Reference: one row from scalar float arithmetic, with math.hypot for the radical."""
+    b2 = params.beta * params.beta
+    k_eff = effective_kappa(params)
+    om1 = -(params.ratio_r / SQRT2) * math.exp(-0.5 * b2) * lag1
+    om2 = -k_eff * math.exp(-2.0 * b2) * lag2
+    t0 = -b2 + k_eff + om2
+    radical = math.hypot(t0, math.sqrt(8.0) * om1)
+    row = dict(N=N, omega1N=om1, omega2N=om2, t0tilde=t0, e0=N - b2 - om2)
+    row.update(eplus=N - k_eff + 0.5 * (t0 + radical), eminus=N - k_eff + 0.5 * (t0 - radical))
+    row.update(y_plus=None, y_minus=None, l2_plus=None, l2_minus=None, weight=0.0)
+    if om1 != 0.0:
+        if t0 > 0.0:
+            y_minus = (-t0 - radical) / (2.0 * om1)
+            y_plus = -2.0 / y_minus
+        else:
+            y_plus = (-t0 + radical) / (2.0 * om1)
+            y_minus = -2.0 / y_plus
+        row.update(y_plus=y_plus, y_minus=y_minus, l2_plus=y_plus**2 + 2.0)
+        row.update(l2_minus=y_minus**2 + 2.0, weight=om1 * om1 / (t0 * t0 + 8.0 * om1 * om1))
+    row.update(rabi_freq=radical, degenerate=om1 == 0.0 and t0 == 0.0)
+    return row
+
+
+# math.hypot and np.hypot may round the radical differently, by at most an ulp
+RADICAL_FIELDS = ("eplus", "eminus", "y_plus", "y_minus", "l2_plus", "l2_minus", "rabi_freq")
+
+
+@pytest.mark.filterwarnings("ignore::rabi_ent.AdiabaticRegimeWarning")
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(ratio_r=0.12, beta=0.4193, kappa0=0.02, alpha_sq=106.0),
+        dict(ratio_r=0.2, beta=-0.4717, kappa0=-0.7, alpha_sq=250.0),
+        # ratio_r = 0: omega1N == 0 on every row, t0tilde = -beta^2 != 0
+        dict(ratio_r=0.0, beta=0.3),
+        # and with beta = 0 as well, t0tilde == 0: every row is degenerate
+        dict(ratio_r=0.0, beta=0.0),
+    ],
+)
+def test_columns_equal_row_fields_and_scalar_reference(fields):
+    params = ModelParams(**fields)
+    columns = aa_columns(params, 60, n_min=5)
+    rows = aa_rows(params, 60, n_min=5)
+    assert list(columns) == [name for name in AASpectrumRow.__dataclass_fields__]
+    assert all(column.shape == (56,) for column in columns.values())
+    for name, column in columns.items():
+        values = [getattr(row, name) for row in rows]
+        for index, (row, value) in enumerate(zip(rows, values)):
+            if row.omega1N == 0.0 and name in ("y_plus", "y_minus", "l2_plus", "l2_minus"):
+                assert value is None and math.isnan(column[index])
+            else:
+                assert type(value) is type(column[index].item())
+                assert np.array([value]).tobytes() == column[index : index + 1].tobytes()
+    dark = columns["omega1N"] == 0.0
+    assert np.all(columns["weight"][dark] == 0.0)
+    assert np.array_equal(columns["degenerate"], dark & (columns["t0tilde"] == 0.0))
+    if params.ratio_r == 0.0:
+        assert dark.all()
+        assert columns["degenerate"].all() == (params.beta == 0.0)
+    else:
+        assert not dark.any()
+    lag1 = laguerre_sequence(60, params.beta**2)
+    lag2 = laguerre_sequence(60, 4.0 * params.beta**2)
+    for row in rows:
+        reference = scalar_row(row.N, float(lag1[row.N]), float(lag2[row.N]), params)
+        for name, expected in reference.items():
+            if name in RADICAL_FIELDS and expected is not None:
+                assert getattr(row, name) == pytest.approx(expected, rel=4 * EPS, abs=0.0)
+            else:
+                assert getattr(row, name) == expected, name
+
+
+def test_weight_survives_underflowing_squares():
+    # omega1N^2 and t0tilde^2 both underflow to 0 here; the weight is still
+    # omega1N^2 / (t0tilde^2 + 8 omega1N^2), from the ratio t0tilde / omega1N
+    row = aa_row(3, ModelParams(ratio_r=1e-200, beta=0.0))
+    assert row.omega1N != 0.0 and row.t0tilde == 0.0
+    assert row.weight == 0.125
+    # t0tilde = -beta^2 = omega1N, so the weight is 1 / (1 + 8)
+    row = aa_row(3, ModelParams(ratio_r=math.sqrt(2.0) * 1e-200, beta=1e-100))
+    assert row.t0tilde == -1e-200 and row.omega1N == pytest.approx(-1e-200, rel=1e-15)
+    assert row.weight == pytest.approx(1.0 / 9.0, rel=1e-15)
 
 
 def test_energy_fields():
