@@ -39,28 +39,17 @@ class TimeSeries:
     channels: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        _fill(self, _as_times(self.times), self.channels)
-
-
-def _series(times: np.ndarray, channels: dict) -> TimeSeries:
-    """A TimeSeries over a grid already returned by :func:`_as_times`, not checked again."""
-    series = object.__new__(TimeSeries)
-    _fill(series, times, channels)
-    return series
-
-
-def _fill(series: TimeSeries, times: np.ndarray, channels: dict) -> None:
-    """Check each channel against ``times`` and set both fields of the frozen series."""
-    checked = {}
-    for name, values in channels.items():
-        values = np.asarray(values, dtype=float)
-        if values.shape != times.shape:
-            raise DomainError(f"channel {name!r} length does not match times")
-        if not np.all(np.isfinite(values)):
-            raise DomainError(f"channel {name!r} contains non-finite values")
-        checked[name] = values
-    object.__setattr__(series, "times", times)
-    object.__setattr__(series, "channels", checked)
+        times = _as_times(self.times)
+        object.__setattr__(self, "times", times)
+        channels = {}
+        for name, values in self.channels.items():
+            values = np.asarray(values, dtype=float)
+            if values.shape != times.shape:
+                raise DomainError(f"channel {name!r} length does not match times")
+            if not np.all(np.isfinite(values)):
+                raise DomainError(f"channel {name!r} contains non-finite values")
+            channels[name] = values
+        object.__setattr__(self, "channels", channels)
 
 
 def _cosine_average(
@@ -94,7 +83,8 @@ def transition_prob(
     table = poisson_logweights(params.alpha_sq, tail_tol)
     columns = aa_columns(params, table.n_cut)
     coeff = table.masses() * columns["weight"]
-    return _series(times, {"T": _cosine_average(coeff, columns["rabi_freq"], times, 1.0)})
+    T = _cosine_average(coeff, columns["rabi_freq"], times, 1.0)
+    return TimeSeries(times=times, channels={"T": T})
 
 
 def survival_prob(
@@ -102,7 +92,9 @@ def survival_prob(
 ) -> TimeSeries:
     """Stay probability 1 - 2 T(t), channel "P_stay"; values lie in [1/2, 1]."""
     base = transition_prob(params, times, tail_tol)
-    return _series(base.times, {"P_stay": 1.0 - 2.0 * base.channels["T"]})
+    return TimeSeries(
+        times=base.times, channels={"P_stay": 1.0 - 2.0 * base.channels["T"]}
+    )
 
 
 def jc_inversion(
@@ -139,7 +131,8 @@ def jc_inversion(
     const = float(np.dot(p, delta * delta / om_sq))
     osc_coeff = p * (4.0 * g * g * n_plus_1 / om_sq)
     # const + osc_coeff @ cos(om t), written for the shared (shift - cos) kernel
-    return _series(times, {"W": const - _cosine_average(osc_coeff, om, times, 0.0)})
+    W = const - _cosine_average(osc_coeff, om, times, 0.0)
+    return TimeSeries(times=times, channels={"W": W})
 
 
 def two_branch_interference_check(N: int, params: ModelParams, times) -> float:

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import TimeSeries, _as_times, _series
+from .dynamics import TimeSeries, _as_times
 from .errors import CapacityError, DomainError, TruncationWarning
 from .params import ModelParams, SpinState, effective_kappa
 from .specialfn import poisson_logpmf
@@ -366,8 +366,8 @@ def evolve(
             )
     return EDResult(
         eigenvalues=evals,
-        populations=_series(times, channels),
-        concurrence=_series(times, {"C": conc}),
+        populations=TimeSeries(times=times, channels=channels),
+        concurrence=TimeSeries(times=times, channels={"C": conc}),
         truncation_error=truncation_error,
         states=states,
     )

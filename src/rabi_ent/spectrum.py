@@ -76,10 +76,12 @@ def aa_columns(params: ModelParams, n_max: int, n_min: int = 0) -> dict[str, np.
     dark = om1 == 0.0
     upper = t0 > 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        weight = (om1 * om1) / (t0 * t0 + 8.0 * om1 * om1)
-        # where both squares under- or overflow, the same weight from their ratio
-        scaled = np.isnan(weight)
-        weight[scaled] = 1.0 / ((t0[scaled] / om1[scaled]) ** 2 + 8.0)
+        # both terms scaled by the same exact power of two, so the squares
+        # neither under- nor overflow and the ratio is unchanged
+        exponent = np.frexp(np.maximum(np.abs(t0), np.abs(om1)))[1]
+        om1_s = np.ldexp(om1, -exponent)
+        t0_s = np.ldexp(t0, -exponent)
+        weight = (om1_s * om1_s) / (t0_s * t0_s + 8.0 * om1_s * om1_s)
         # quadratic roots of om1*y^2 + t0*y - 2*om1 = 0: evaluate the
         # non-cancelling branch directly, recover the other from y+ * y- = -2
         direct = np.where(upper, -t0 - radical, -t0 + radical) / (2.0 * om1)

@@ -63,9 +63,10 @@ def test_csv_floats_round_trip_exactly(tmp_path, monkeypatch):
     assert np.array_equal(data["T"], values)
 
 
-def test_oracle_output_agrees_across_blas_thread_counts(tmp_path):
+def run_at_one_and_two_blas_threads(tmp_path, args):
+    """Run ``rabi_ent.cli`` with ``args`` at 1 and at 2 BLAS threads; return both CSV paths."""
     root = Path(__file__).resolve().parents[1]
-    tables = []
+    outputs = []
     for threads in ("1", "2"):
         env = {
             **os.environ,
@@ -73,11 +74,16 @@ def test_oracle_output_agrees_across_blas_thread_counts(tmp_path):
             "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]),
         }
         out = tmp_path / f"threads_{threads}.csv"
-        config = root / "configs" / "fig4_desk_oracle.json"
-        command = [sys.executable, "-m", "rabi_ent.cli", "oracle", "--config", str(config)]
-        subprocess.run(command + ["--out", str(out)], env=env, check=True, capture_output=True)
-        tables.append(read_csv(out))
-    one, two = tables
+        command = [sys.executable, "-m", "rabi_ent.cli", *args, "--out", str(out)]
+        subprocess.run(command, cwd=root, env=env, check=True, capture_output=True)
+        outputs.append(out)
+    return outputs
+
+
+def test_oracle_output_agrees_across_blas_thread_counts(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / "fig4_desk_oracle.json"
+    outputs = run_at_one_and_two_blas_threads(tmp_path, ["oracle", "--config", str(config)])
+    one, two = (read_csv(out) for out in outputs)
     assert one.dtype.names == ("t", "P11", "P1m1", "P10", "P00", "C")
     for name in one.dtype.names:
         assert np.abs(one[name] - two[name]).max() <= 1e-12, name
@@ -93,19 +99,9 @@ CLOSED_FORM_RUNS = {
 
 @pytest.mark.parametrize("command", sorted(CLOSED_FORM_RUNS))
 def test_closed_form_output_is_identical_across_blas_thread_counts(command, tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    outputs = []
-    for threads in ("1", "2"):
-        env = {
-            **os.environ,
-            "OPENBLAS_NUM_THREADS": threads,
-            "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]),
-        }
-        out = tmp_path / f"threads_{threads}.csv"
-        argv = [sys.executable, "-m", "rabi_ent.cli", command, *CLOSED_FORM_RUNS[command]]
-        subprocess.run(argv + ["--out", str(out)], cwd=root, env=env, check=True, capture_output=True)
-        outputs.append((out.read_bytes(), Path(f"{out}.json").read_bytes()))
-    assert outputs[0] == outputs[1]
+    outputs = run_at_one_and_two_blas_threads(tmp_path, [command, *CLOSED_FORM_RUNS[command]])
+    one, two = ((out.read_bytes(), Path(f"{out}.json").read_bytes()) for out in outputs)
+    assert one == two
 
 
 def test_outputs_are_byte_identical_across_runs(tmp_path, monkeypatch):

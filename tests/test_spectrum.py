@@ -222,7 +222,7 @@ def test_columns_equal_row_fields_and_scalar_reference(fields):
 
 def test_weight_survives_underflowing_squares():
     # omega1N^2 and t0tilde^2 both underflow to 0 here; the weight is still
-    # omega1N^2 / (t0tilde^2 + 8 omega1N^2), from the ratio t0tilde / omega1N
+    # omega1N^2 / (t0tilde^2 + 8 omega1N^2) = 1 / ((t0tilde / omega1N)^2 + 8)
     row = aa_row(3, ModelParams(ratio_r=1e-200, beta=0.0))
     assert row.omega1N != 0.0 and row.t0tilde == 0.0
     assert row.weight == 0.125
@@ -230,6 +230,18 @@ def test_weight_survives_underflowing_squares():
     row = aa_row(3, ModelParams(ratio_r=math.sqrt(2.0) * 1e-200, beta=1e-100))
     assert row.t0tilde == -1e-200 and row.omega1N == pytest.approx(-1e-200, rel=1e-15)
     assert row.weight == pytest.approx(1.0 / 9.0, rel=1e-15)
+    # omega1N^2 is subnormal and t0tilde^2 rounds to 0: t0tilde / omega1N = 1/10
+    row = aa_row(3, ModelParams(ratio_r=math.sqrt(2.0) * 1e-161, beta=1e-81))
+    assert row.t0tilde == -1e-162 and row.omega1N == pytest.approx(-1e-161, rel=1e-15)
+    assert row.weight == pytest.approx(1.0 / 8.01, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::rabi_ent.AdiabaticRegimeWarning")
+def test_weight_survives_overflowing_squares():
+    # omega1N^2 is finite but 8 omega1N^2 overflows; t0tilde == 0 at beta = 0
+    row = aa_row(3, ModelParams(ratio_r=math.sqrt(2.0) * 1e154, beta=0.0))
+    assert math.isfinite(row.omega1N**2) and math.isinf(8.0 * row.omega1N**2)
+    assert row.weight == 0.125
 
 
 def test_energy_fields():
