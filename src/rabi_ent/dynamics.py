@@ -8,13 +8,14 @@ for the collapse-and-revival contrast.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .params import ModelParams
-from .specialfn import DEFAULT_TAIL_TOL, poisson_logweights
+from .specialfn import DEFAULT_TAIL_TOL, LogWeightTable, poisson_logweights
 from .spectrum import aa_columns, aa_row
 
 _TIME_BLOCK = 4096
@@ -52,20 +53,36 @@ class TimeSeries:
         object.__setattr__(self, "channels", channels)
 
 
+def _cosine_rows(
+    coeffs: list[np.ndarray], freqs: np.ndarray, times: np.ndarray, shift: float
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (i, start, sum_N coeffs[i]_N * (shift - cos(freqs_N * t))) per block of t.
+
+    Each (shift - cos) block covers at most _TIME_BLOCK times and is computed
+    once for every row.  Row i reads the block's leading coeffs[i].size rows,
+    a contiguous slice, so each row gets exactly the contraction a call with
+    that row alone would make, and its values do not depend on the others.
+    """
+    for start in range(0, times.size, _TIME_BLOCK):
+        phases = np.outer(freqs, times[start : start + _TIME_BLOCK])
+        np.cos(phases, out=phases)
+        np.subtract(shift, phases, out=phases)
+        for i, coeff in enumerate(coeffs):
+            yield i, start, coeff @ phases[: coeff.size]
+
+
 def _cosine_average(
     coeff: np.ndarray, freqs: np.ndarray, times: np.ndarray, shift: float
 ) -> np.ndarray:
     """sum_N coeff_N * (shift - cos(freqs_N * t)), blocked over t to bound memory.
 
-    The contraction over N runs in a fixed order for every block, so the
-    result is independent of the blocking.
+    The one-row case of :func:`_cosine_rows`.  The contraction over N runs in
+    a fixed order for every block, so the result is independent of the
+    blocking.
     """
     out = np.empty_like(times)
-    for start in range(0, times.size, _TIME_BLOCK):
-        block = times[start : start + _TIME_BLOCK]
-        phases = np.outer(freqs, block)
-        np.cos(phases, out=phases)
-        out[start : start + block.size] = coeff @ np.subtract(shift, phases, out=phases)
+    for _, start, values in _cosine_rows([coeff], freqs, times, shift):
+        out[start : start + values.size] = values
     return out
 
 
@@ -85,6 +102,29 @@ def transition_prob(
     coeff = table.masses() * columns["weight"]
     T = _cosine_average(coeff, columns["rabi_freq"], times, 1.0)
     return TimeSeries(times=times, channels={"T": T})
+
+
+def _peak_transition_probs(
+    params: ModelParams, tables: list[LogWeightTable], times
+) -> np.ndarray:
+    """max_t T(t) of ``params`` under each Poisson table in ``tables``.
+
+    T depends on alpha_sq only through the Poisson weights, so
+    ``params.alpha_sq`` is not read: one spectrum up to the largest n_cut
+    and one cosine block per time block serve every table.  Each peak equals
+    ``transition_prob(...).channels["T"].max()`` for that table bit for bit,
+    and memory does not grow with the number of tables: each row is reduced
+    to its running maximum block by block.
+    """
+    times = _as_times(times)
+    columns = aa_columns(params, max(table.n_cut for table in tables))
+    coeffs = [table.masses() * columns["weight"][: table.n_cut + 1] for table in tables]
+    peaks = np.full(len(coeffs), -np.inf)
+    for i, _, values in _cosine_rows(coeffs, columns["rabi_freq"], times, 1.0):
+        peaks[i] = np.maximum(peaks[i], values.max())
+    if not np.all(np.isfinite(peaks)):
+        raise DomainError("channel 'T' contains non-finite values")
+    return peaks
 
 
 def survival_prob(

@@ -97,9 +97,28 @@ CLOSED_FORM_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(CLOSED_FORM_RUNS))
+# a beta x alpha_sq grid (alpha_sq = 0 included) over more than one time block,
+# written into the test's own directory
+SCAN_2D_CONFIG = {
+    "scan": {
+        "ranges": {
+            "beta": {"min": 0.3, "max": 0.45, "steps": 3},
+            "alpha_sq": {"min": 0.0, "max": 40.0, "steps": 3},
+        },
+        "fixed": {"ratio_r": 0.12, "kappa0": 0.02},
+        "horizon": 300.0,
+        "time_points": 4500,
+    }
+}
+
+
+@pytest.mark.parametrize("command", [*sorted(CLOSED_FORM_RUNS), "scan_2d"])
 def test_closed_form_output_is_identical_across_blas_thread_counts(command, tmp_path):
-    outputs = run_at_one_and_two_blas_threads(tmp_path, [command, *CLOSED_FORM_RUNS[command]])
+    if command == "scan_2d":
+        args = ["scan", "--config", write_config(tmp_path / "scan_2d.json", SCAN_2D_CONFIG)]
+    else:
+        args = [command, *CLOSED_FORM_RUNS[command]]
+    outputs = run_at_one_and_two_blas_threads(tmp_path, args)
     one, two = ((out.read_bytes(), Path(f"{out}.json").read_bytes()) for out in outputs)
     assert one == two
 

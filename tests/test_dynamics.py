@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from rabi_ent import (
     transition_prob,
     two_branch_interference_check,
 )
+from rabi_ent.dynamics import _TIME_BLOCK, _cosine_average, _cosine_rows, _peak_transition_probs
 
 
 def random_params(rng):
@@ -96,6 +99,49 @@ def test_transition_prob_blocking_is_invisible():
     first = transition_prob(params, times[:4500]).channels["T"]
     second = transition_prob(params, times[4500:]).channels["T"]
     assert np.array_equal(whole, np.concatenate([first, second]))
+
+
+def test_shared_cosine_block_rows_equal_single_row_calls():
+    # rows of different lengths read the leading rows of one shared block,
+    # on a grid that spans more than one time block
+    rng = np.random.default_rng(7)
+    freqs = rng.uniform(0.0, 3.0, 40)
+    times = np.linspace(0.0, 300.0, _TIME_BLOCK + 1500)
+    coeffs = [rng.uniform(0.0, 0.1, n) for n in (40, 5, 17, 1)]
+    for shift in (1.0, 0.0):
+        rows = [np.empty_like(times) for _ in coeffs]
+        for i, start, values in _cosine_rows(coeffs, freqs, times, shift):
+            rows[i][start : start + values.size] = values
+        for coeff, row in zip(coeffs, rows):
+            single = _cosine_average(coeff, freqs[: coeff.size], times, shift)
+            assert np.array_equal(row, single)
+
+
+def test_peak_transition_probs_equal_series_maxima():
+    params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=16.0)
+    times = np.linspace(0.0, 500.0, _TIME_BLOCK + 901)
+    tables = [poisson_logweights(a) for a in (16.0, 0.0, 40.0, 2.5)]
+    peaks = _peak_transition_probs(params, tables, times)
+    for table, peak in zip(tables, peaks):
+        series = transition_prob(replace(params, alpha_sq=table.alpha_sq), times)
+        assert peak == series.channels["T"].max()
+
+
+def test_peak_transition_probs_memory_does_not_grow_with_rows():
+    # rows are reduced to running maxima block by block: 100 rows cost their
+    # coefficient vectors (~0.15 MB), not 100 series of 8000 times (6.4 MB)
+    params = ModelParams(ratio_r=0.12, beta=0.42, kappa0=0.02, alpha_sq=100.0)
+    times = np.linspace(0.0, 400.0, 8000)
+    peaks = []
+    for rows in (2, 100):
+        tables = [poisson_logweights(a) for a in np.linspace(90.0, 100.0, rows)]
+        tracemalloc.start()
+        try:
+            _peak_transition_probs(params, tables, times)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1_000_000
 
 
 def test_transition_prob_rejects_bad_times():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from rabi_ent import (
@@ -10,7 +11,9 @@ from rabi_ent import (
     grid_scan,
     objective,
     refine,
+    transition_prob,
 )
+from rabi_ent import scan as scan_module
 
 FIG3_FIXED = {"ratio_r": 0.12, "kappa0": 0.02, "alpha_sq": 106.0}
 
@@ -199,3 +202,115 @@ def test_refine_descent_contract_on_model_objective():
     )
     assert result.best_objective <= start_value
     assert 0.3 <= result.best_point["beta"] <= 0.5
+
+
+def assert_grid_equals_pointwise(spec):
+    result = grid_scan(spec)
+    times = np.linspace(0.0, spec.horizon, spec.time_points)
+    for row, value in zip(result.points, result.objectives):
+        values = dict(spec.fixed)
+        values.update(zip(result.axis_names, row.tolist()))
+        params = ModelParams(kappa_convention=spec.kappa_convention, **values)
+        assert value == objective(params, spec.horizon, spec.time_points, spec.tail_tol)
+        assert value == transition_prob(params, times, spec.tail_tol).channels["T"].max()
+    return result
+
+
+def test_grid_scan_beta_alpha_grid_equals_pointwise_objective():
+    spec = ScanSpec(
+        ranges={"beta": AxisRange(0.1, 0.45, 4), "alpha_sq": AxisRange(0.0, 30.0, 4)},
+        fixed={"ratio_r": 0.12, "kappa0": 0.02},
+        horizon=150.0,
+        time_points=700,
+    )
+    result = assert_grid_equals_pointwise(spec)
+    assert result.points[0].tolist() == [0.1, 0.0]
+
+
+def test_grid_scan_three_axis_grid_equals_pointwise_objective():
+    # longer than one time block, so each peak is a running maximum over blocks
+    spec = ScanSpec(
+        ranges={
+            "beta": AxisRange(0.2, 0.5, 3),
+            "alpha_sq": AxisRange(4.0, 25.0, 3),
+            "kappa0": AxisRange(-0.4, 0.2, 3),
+        },
+        fixed={"ratio_r": 0.2},
+        horizon=300.0,
+        time_points=5000,
+    )
+    assert_grid_equals_pointwise(spec)
+
+
+@pytest.fixture
+def built_tables(monkeypatch):
+    """The alpha_sq of every Poisson table the scan module builds, in order."""
+    built = []
+    original = scan_module.poisson_logweights
+
+    def counting(alpha_sq, tail_tol):
+        built.append(alpha_sq)
+        return original(alpha_sq, tail_tol)
+
+    monkeypatch.setattr(scan_module, "poisson_logweights", counting)
+    return built
+
+
+def test_grid_scan_builds_one_poisson_table_per_alpha_sq(built_tables):
+    spec = ScanSpec(
+        ranges={"beta": AxisRange(0.1, 0.4, 3), "alpha_sq": AxisRange(1.0, 9.0, 3)},
+        fixed={"ratio_r": 0.2, "kappa0": 0.1},
+        horizon=50.0,
+        time_points=200,
+    )
+    grid_scan(spec)
+    assert built_tables == [1.0, 5.0, 9.0]
+
+
+def test_refine_builds_one_poisson_table_and_matches_objective(built_tables):
+    spec = ScanSpec(
+        ranges={"beta": AxisRange(0.3, 0.5, 2)},
+        fixed=FIG3_FIXED,
+        horizon=100.0,
+        time_points=400,
+    )
+    result = refine({"beta": 0.4193}, {"beta": 0.01}, max_iters=20, spec=spec)
+    assert built_tables == [106.0]
+    for point, value in result.trace:
+        params = ModelParams(beta=point["beta"], **FIG3_FIXED)
+        assert value == objective(params, 100.0, 400)
+
+
+def test_grid_scan_invalid_point_raises_the_pointwise_error():
+    # beta = 1e100 overflows the Laguerre recurrence: T is NaN from alpha_sq > 0
+    # on, while (1e100, 0) is still finite; evaluation is grouped by beta
+    spec = ScanSpec(
+        ranges={"beta": AxisRange(0.1, 1e100, 2), "alpha_sq": AxisRange(0.0, 8.0, 3)},
+        fixed={"ratio_r": 0.2, "kappa0": 0.1},
+        horizon=50.0,
+        time_points=200,
+    )
+    bad = ModelParams(ratio_r=0.2, beta=1e100, kappa0=0.1, alpha_sq=4.0)
+    times = np.linspace(0.0, 50.0, 200)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(DomainError) as from_grid:
+            grid_scan(spec)
+        with pytest.raises(DomainError) as from_point:
+            objective(bad, 50.0, 200)
+        with pytest.raises(DomainError) as from_series:
+            transition_prob(bad, times)
+        good = ModelParams(ratio_r=0.2, beta=1e100, kappa0=0.1, alpha_sq=0.0)
+        assert objective(good, 50.0, 200) == 0.0
+    assert str(from_grid.value) == str(from_point.value) == str(from_series.value)
+
+    negative = ScanSpec(
+        ranges={"beta": AxisRange(0.1, 0.3, 2), "alpha_sq": AxisRange(-4.0, 4.0, 3)},
+        fixed={"ratio_r": 0.2, "kappa0": 0.1},
+        horizon=50.0,
+        time_points=200,
+    )
+    with pytest.raises(DomainError) as from_grid:
+        grid_scan(negative)
+    with pytest.raises(DomainError) as from_params:
+        ModelParams(ratio_r=0.2, beta=0.1, kappa0=0.1, alpha_sq=-4.0)
+    assert str(from_grid.value) == str(from_params.value)
