@@ -8,7 +8,7 @@ for the collapse-and-revival contrast.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,22 +53,21 @@ class TimeSeries:
         object.__setattr__(self, "channels", channels)
 
 
-def _cosine_rows(
-    coeffs: list[np.ndarray], freqs: np.ndarray, times: np.ndarray, shift: float
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (i, start, sum_N coeffs[i]_N * (shift - cos(freqs_N * t))) per block of t.
+def _shifted_cosines(
+    freqs: np.ndarray, times: np.ndarray, shift: float
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, shift - cos(outer(freqs, block))) per block of times.
 
-    Each (shift - cos) block covers at most _TIME_BLOCK times and is computed
-    once for every row.  Row i reads the block's leading coeffs[i].size rows,
-    a contiguous slice, so each row gets exactly the contraction a call with
-    that row alone would make, and its values do not depend on the others.
+    A block covers at most _TIME_BLOCK times and is C-contiguous, so its
+    leading rows are a contiguous slice: a coefficient vector contracted
+    against them gets exactly the contraction of a block built from those
+    frequencies alone.
     """
     for start in range(0, times.size, _TIME_BLOCK):
         phases = np.outer(freqs, times[start : start + _TIME_BLOCK])
         np.cos(phases, out=phases)
         np.subtract(shift, phases, out=phases)
-        for i, coeff in enumerate(coeffs):
-            yield i, start, coeff @ phases[: coeff.size]
+        yield start, phases
 
 
 def _cosine_average(
@@ -76,14 +75,18 @@ def _cosine_average(
 ) -> np.ndarray:
     """sum_N coeff_N * (shift - cos(freqs_N * t)), blocked over t to bound memory.
 
-    The one-row case of :func:`_cosine_rows`.  The contraction over N runs in
-    a fixed order for every block, so the result is independent of the
-    blocking.
+    The contraction over N runs in a fixed order for every block of
+    :func:`_shifted_cosines`, so the result is independent of the blocking.
     """
     out = np.empty_like(times)
-    for _, start, values in _cosine_rows([coeff], freqs, times, shift):
-        out[start : start + values.size] = values
+    for start, block in _shifted_cosines(freqs, times, shift):
+        out[start : start + block.shape[1]] = coeff @ block
     return out
+
+
+def _t_coefficients(table: LogWeightTable, columns: dict[str, np.ndarray]) -> np.ndarray:
+    """p(N) * weight_N for N = 0 .. table.n_cut; ``columns`` may reach past n_cut."""
+    return table.masses() * columns["weight"][: table.n_cut + 1]
 
 
 def transition_prob(
@@ -99,32 +102,69 @@ def transition_prob(
     times = _as_times(times)
     table = poisson_logweights(params.alpha_sq, tail_tol)
     columns = aa_columns(params, table.n_cut)
-    coeff = table.masses() * columns["weight"]
-    T = _cosine_average(coeff, columns["rabi_freq"], times, 1.0)
+    T = _cosine_average(_t_coefficients(table, columns), columns["rabi_freq"], times, 1.0)
     return TimeSeries(times=times, channels={"T": T})
 
 
-def _peak_transition_probs(
-    params: ModelParams, tables: list[LogWeightTable], times
-) -> np.ndarray:
-    """max_t T(t) of ``params`` under each Poisson table in ``tables``.
+def _spectrum_key(params: ModelParams) -> tuple:
+    """Every field of ``params`` but alpha_sq, floats by their bits (0.0 and -0.0 differ)."""
+    return tuple(
+        value.hex() if isinstance(value, float) else value
+        for name, value in vars(params).items()
+        if name != "alpha_sq"
+    )
 
-    T depends on alpha_sq only through the Poisson weights, so
-    ``params.alpha_sq`` is not read: one spectrum up to the largest n_cut
-    and one cosine block per time block serve every table.  Each peak equals
-    ``transition_prob(...).channels["T"].max()`` for that table bit for bit,
-    and memory does not grow with the number of tables: each row is reduced
-    to its running maximum block by block.
+
+def _peak_transition_probs(
+    points: Sequence[ModelParams], times: np.ndarray, tail_tol: float = DEFAULT_TAIL_TOL
+) -> np.ndarray:
+    """max_t T(t) of every parameter set in ``points`` on a valid time grid.
+
+    Each peak equals ``transition_prob(p, times, tail_tol).channels["T"].max()``
+    bit for bit, except that a NaN in T gives a NaN peak instead of an error
+    (elsewhere T lies in [0, 1/4]).  T reads alpha_sq only through the
+    Poisson weights, so each distinct alpha_sq gets one Poisson table, and
+    points that differ only in alpha_sq share one spectrum and one (1 - cos)
+    block per block of times.  Tables are held in batches that together take
+    about the room of one such block, and each point is reduced to its
+    running maximum, so memory does not grow with the number of points.
     """
-    times = _as_times(times)
-    columns = aa_columns(params, max(table.n_cut for table in tables))
-    coeffs = [table.masses() * columns["weight"][: table.n_cut + 1] for table in tables]
-    peaks = np.full(len(coeffs), -np.inf)
-    for i, _, values in _cosine_rows(coeffs, columns["rabi_freq"], times, 1.0):
-        peaks[i] = np.maximum(peaks[i], values.max())
-    if not np.all(np.isfinite(peaks)):
-        raise DomainError("channel 'T' contains non-finite values")
+    rows_by_alpha: dict[float, list[int]] = {}
+    for i, params in enumerate(points):
+        rows_by_alpha.setdefault(params.alpha_sq, []).append(i)
+    peaks = np.full(len(points), -np.inf)
+    width = min(times.size, _TIME_BLOCK)
+    groups: dict[tuple, list[tuple[int, LogWeightTable]]] = {}
+    held = longest = 0
+    for k, (alpha_sq, rows) in enumerate(rows_by_alpha.items(), 1):
+        table = poisson_logweights(alpha_sq, tail_tol)
+        for i in rows:
+            groups.setdefault(_spectrum_key(points[i]), []).append((i, table))
+        held += table.n_cut + 1
+        longest = max(longest, table.n_cut + 1)
+        if held >= longest * width or k == len(rows_by_alpha):
+            for members in groups.values():
+                _group_peaks(points[members[0][0]], members, times, peaks)
+            groups, held, longest = {}, 0, 0
     return peaks
+
+
+def _group_peaks(
+    params: ModelParams,
+    members: list[tuple[int, LogWeightTable]],
+    times: np.ndarray,
+    peaks: np.ndarray,
+) -> None:
+    """Raise ``peaks[i]`` to max_t T(t) of ``params`` under ``table``, for each (i, table).
+
+    One spectrum and one block at a time; both are freed on return, before
+    the next group builds its own.
+    """
+    columns = aa_columns(params, max(table.n_cut for _, table in members))
+    for _, block in _shifted_cosines(columns["rabi_freq"], times, 1.0):
+        for i, table in members:
+            values = _t_coefficients(table, columns) @ block[: table.n_cut + 1]
+            peaks[i] = np.maximum(peaks[i], values.max())
 
 
 def survival_prob(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .params import KappaConvention, ModelParams
-from .specialfn import DEFAULT_TAIL_TOL, LogWeightTable, poisson_logweights
+from .specialfn import DEFAULT_TAIL_TOL
 from .dynamics import _peak_transition_probs, transition_prob
 
 SWEEPABLE = ("beta", "alpha_sq", "kappa0", "ratio_r")
@@ -120,15 +120,6 @@ def _window(horizon: float, time_points: int) -> np.ndarray:
     return np.linspace(0.0, horizon, int(time_points))
 
 
-def _poisson_table(
-    tables: dict[float, LogWeightTable], alpha_sq: float, tail_tol: float
-) -> LogWeightTable:
-    """The Poisson table of ``alpha_sq`` from ``tables``, built on first use."""
-    if alpha_sq not in tables:
-        tables[alpha_sq] = poisson_logweights(alpha_sq, tail_tol)
-    return tables[alpha_sq]
-
-
 def objective(
     params: ModelParams,
     horizon: float,
@@ -155,12 +146,13 @@ def _params_at(point: Mapping[str, float], spec: ScanSpec) -> ModelParams:
 def grid_scan(spec: ScanSpec) -> ScanResult:
     """Exhaustively evaluate the objective over the requested grid.
 
-    Points that differ only in alpha_sq are evaluated together: they share
-    one spectrum and one cosine block per time block, and each distinct
-    alpha_sq gets one Poisson table.  Every objective equals
-    ``objective(point)`` bit for bit.  Parameters and Poisson tables are
-    built in row-major order over the canonical axis order, and an invalid
-    point raises the same error as ``objective`` does for it.
+    Every objective equals ``objective(point)`` bit for bit.  Points are
+    evaluated together (see :func:`dynamics._peak_transition_probs`): points
+    that differ only in alpha_sq share one spectrum and one cosine block per
+    block of times, and each distinct alpha_sq gets one Poisson table.  If
+    any point fails, the grid is evaluated again point by point in row-major
+    order over the canonical axis order, so it raises the error that
+    ``objective`` raises at the first failing point.
     """
     axes = spec.axis_names
     grids = [spec.ranges[name].grid() for name in axes]
@@ -168,20 +160,23 @@ def grid_scan(spec: ScanSpec) -> ScanResult:
     if total > spec.grid_ceiling:
         raise CapacityError(f"grid has {total} points, exceeding ceiling {spec.grid_ceiling}")
     points = np.array(list(itertools.product(*grids))) if grids else np.zeros((1, 0))
-    times = _window(spec.horizon, spec.time_points)
-    tables: dict[float, LogWeightTable] = {}
-    # (ratio_r, beta, kappa0) -> (params, row indices, their Poisson tables)
-    groups: dict[tuple[float, float, float], tuple[ModelParams, list, list]] = {}
-    for i, row in enumerate(points):
-        params = _params_at({name: float(v) for name, v in zip(axes, row)}, spec)
-        table = _poisson_table(tables, params.alpha_sq, spec.tail_tol)
-        key = (params.ratio_r, params.beta, params.kappa0)
-        _, rows, row_tables = groups.setdefault(key, (params, [], []))
-        rows.append(i)
-        row_tables.append(table)
-    objectives = np.empty(points.shape[0])
-    for params, rows, row_tables in groups.values():
-        objectives[rows] = _peak_transition_probs(params, row_tables, times)
+    named = [{name: float(v) for name, v in zip(axes, row)} for row in points]
+    try:
+        objectives = _peak_transition_probs(
+            [_params_at(point, spec) for point in named],
+            _window(spec.horizon, spec.time_points),
+            spec.tail_tol,
+        )
+        failed = not np.all(np.isfinite(objectives))
+    except (DomainError, CapacityError):
+        failed = True
+    if failed:
+        objectives = np.array(
+            [
+                objective(_params_at(point, spec), spec.horizon, spec.time_points, spec.tail_tol)
+                for point in named
+            ]
+        )
     best_idx = int(np.argmin(objectives))
     best_point = {name: float(v) for name, v in zip(axes, points[best_idx])}
     best = float(objectives[best_idx])
@@ -208,8 +203,7 @@ def refine(
     """Simplex descent from a start point; never reports worse than it started.
 
     The default objective comes from ``spec`` (its fixed values, window, and
-    convention) and builds one Poisson table per distinct alpha_sq it
-    visits; ``objective_fn`` is a seam for injecting a synthetic
+    convention); ``objective_fn`` is a seam for injecting a synthetic
     objective in tests.  Points outside ``bounds`` are clamped before
     evaluation and penalized by their clamping distance, so reported points
     always satisfy the bounds.
@@ -229,13 +223,10 @@ def refine(
         if any(n not in SWEEPABLE for n in names):
             raise DomainError("start_point keys must be sweepable parameter names")
 
-        times = _window(spec.horizon, spec.time_points)
-        tables: dict[float, LogWeightTable] = {}
-
         def objective_fn(point: dict[str, float]) -> float:
-            params = _params_at(point, spec)
-            table = _poisson_table(tables, params.alpha_sq, spec.tail_tol)
-            return float(_peak_transition_probs(params, [table], times)[0])
+            return objective(
+                _params_at(point, spec), spec.horizon, spec.time_points, spec.tail_tol
+            )
 
     lo = np.array([bounds[n][0] if bounds and n in bounds else -np.inf for n in names])
     hi = np.array([bounds[n][1] if bounds and n in bounds else np.inf for n in names])

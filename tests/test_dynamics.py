@@ -16,7 +16,12 @@ from rabi_ent import (
     transition_prob,
     two_branch_interference_check,
 )
-from rabi_ent.dynamics import _TIME_BLOCK, _cosine_average, _cosine_rows, _peak_transition_probs
+from rabi_ent.dynamics import (
+    _TIME_BLOCK,
+    _cosine_average,
+    _peak_transition_probs,
+    _shifted_cosines,
+)
 
 
 def random_params(rng):
@@ -110,8 +115,9 @@ def test_shared_cosine_block_rows_equal_single_row_calls():
     coeffs = [rng.uniform(0.0, 0.1, n) for n in (40, 5, 17, 1)]
     for shift in (1.0, 0.0):
         rows = [np.empty_like(times) for _ in coeffs]
-        for i, start, values in _cosine_rows(coeffs, freqs, times, shift):
-            rows[i][start : start + values.size] = values
+        for start, block in _shifted_cosines(freqs, times, shift):
+            for coeff, row in zip(coeffs, rows):
+                row[start : start + block.shape[1]] = coeff @ block[: coeff.size]
         for coeff, row in zip(coeffs, rows):
             single = _cosine_average(coeff, freqs[: coeff.size], times, shift)
             assert np.array_equal(row, single)
@@ -119,25 +125,30 @@ def test_shared_cosine_block_rows_equal_single_row_calls():
 
 def test_peak_transition_probs_equal_series_maxima():
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=16.0)
+    points = [replace(params, alpha_sq=a) for a in (16.0, 0.0, 40.0, 2.5)]
+    points += [
+        replace(params, beta=-0.26, alpha_sq=40.0),
+        replace(params, beta=0.0, kappa0=-0.0, alpha_sq=2.5),
+        replace(params, beta=0.0, kappa0=0.0, alpha_sq=2.5),
+    ]
     times = np.linspace(0.0, 500.0, _TIME_BLOCK + 901)
-    tables = [poisson_logweights(a) for a in (16.0, 0.0, 40.0, 2.5)]
-    peaks = _peak_transition_probs(params, tables, times)
-    for table, peak in zip(tables, peaks):
-        series = transition_prob(replace(params, alpha_sq=table.alpha_sq), times)
-        assert peak == series.channels["T"].max()
+    peaks = _peak_transition_probs(points, times)
+    for point, peak in zip(points, peaks):
+        assert peak == transition_prob(point, times).channels["T"].max()
 
 
-def test_peak_transition_probs_memory_does_not_grow_with_rows():
-    # rows are reduced to running maxima block by block: 100 rows cost their
-    # coefficient vectors (~0.15 MB), not 100 series of 8000 times (6.4 MB)
-    params = ModelParams(ratio_r=0.12, beta=0.42, kappa0=0.02, alpha_sq=100.0)
-    times = np.linspace(0.0, 400.0, 8000)
+def test_peak_transition_probs_memory_does_not_grow_with_points():
+    # n_cut of about 1,200 per point: 200 points' Poisson tables or
+    # coefficient rows held at once would take about 2 MB; held in batches
+    # the size of one (1 - cos) block (n_cut x 50 times), about 0.5 MB
+    params = ModelParams(ratio_r=0.12, beta=0.42, kappa0=0.02)
+    times = np.linspace(0.0, 400.0, 50)
     peaks = []
-    for rows in (2, 100):
-        tables = [poisson_logweights(a) for a in np.linspace(90.0, 100.0, rows)]
+    for rows in (20, 200):
+        points = [replace(params, alpha_sq=a) for a in np.linspace(1000.0, 1010.0, rows)]
         tracemalloc.start()
         try:
-            _peak_transition_probs(params, tables, times)
+            _peak_transition_probs(points, times)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

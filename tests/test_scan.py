@@ -13,7 +13,7 @@ from rabi_ent import (
     refine,
     transition_prob,
 )
-from rabi_ent import scan as scan_module
+from rabi_ent import dynamics
 
 FIG3_FIXED = {"ratio_r": 0.12, "kappa0": 0.02, "alpha_sq": 106.0}
 
@@ -244,15 +244,15 @@ def test_grid_scan_three_axis_grid_equals_pointwise_objective():
 
 @pytest.fixture
 def built_tables(monkeypatch):
-    """The alpha_sq of every Poisson table the scan module builds, in order."""
+    """The alpha_sq of every Poisson table the dynamics module builds, in order."""
     built = []
-    original = scan_module.poisson_logweights
+    original = dynamics.poisson_logweights
 
     def counting(alpha_sq, tail_tol):
         built.append(alpha_sq)
         return original(alpha_sq, tail_tol)
 
-    monkeypatch.setattr(scan_module, "poisson_logweights", counting)
+    monkeypatch.setattr(dynamics, "poisson_logweights", counting)
     return built
 
 
@@ -265,20 +265,6 @@ def test_grid_scan_builds_one_poisson_table_per_alpha_sq(built_tables):
     )
     grid_scan(spec)
     assert built_tables == [1.0, 5.0, 9.0]
-
-
-def test_refine_builds_one_poisson_table_and_matches_objective(built_tables):
-    spec = ScanSpec(
-        ranges={"beta": AxisRange(0.3, 0.5, 2)},
-        fixed=FIG3_FIXED,
-        horizon=100.0,
-        time_points=400,
-    )
-    result = refine({"beta": 0.4193}, {"beta": 0.01}, max_iters=20, spec=spec)
-    assert built_tables == [106.0]
-    for point, value in result.trace:
-        params = ModelParams(beta=point["beta"], **FIG3_FIXED)
-        assert value == objective(params, 100.0, 400)
 
 
 def test_grid_scan_invalid_point_raises_the_pointwise_error():
@@ -314,3 +300,29 @@ def test_grid_scan_invalid_point_raises_the_pointwise_error():
     with pytest.raises(DomainError) as from_params:
         ModelParams(ratio_r=0.2, beta=0.1, kappa0=0.1, alpha_sq=-4.0)
     assert str(from_grid.value) == str(from_params.value)
+
+
+@pytest.mark.parametrize(
+    "beta_range, first_bad",
+    [
+        # non-finite T at (1e100, 4) comes before the oversized table at 2.5e6
+        (AxisRange(1e100, 1e100, 2), {"beta": 1e100, "alpha_sq": 4.0}),
+        # the oversized table at (0.1, 2.5e6) comes before non-finite T at (1e100, 4)
+        (AxisRange(0.1, 1e100, 2), {"beta": 0.1, "alpha_sq": 2.5e6}),
+    ],
+)
+def test_grid_scan_raises_the_first_error_in_row_major_order(beta_range, first_bad):
+    spec = ScanSpec(
+        ranges={"beta": beta_range, "alpha_sq": AxisRange(4.0, 2.5e6, 2)},
+        fixed={"ratio_r": 0.2, "kappa0": 0.1},
+        horizon=50.0,
+        time_points=200,
+    )
+    bad = ModelParams(ratio_r=0.2, kappa0=0.1, **first_bad)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises((DomainError, CapacityError)) as from_grid:
+            grid_scan(spec)
+        with pytest.raises((DomainError, CapacityError)) as from_point:
+            objective(bad, 50.0, 200)
+    assert type(from_grid.value) is type(from_point.value)
+    assert str(from_grid.value) == str(from_point.value)
