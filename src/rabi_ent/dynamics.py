@@ -19,6 +19,7 @@ from .specialfn import DEFAULT_TAIL_TOL, LogWeightTable, poisson_logweights
 from .spectrum import aa_columns, aa_row
 
 _TIME_BLOCK = 4096
+_PHASE_BLOCK = 128
 
 
 def _as_times(times) -> np.ndarray:
@@ -68,6 +69,29 @@ def _shifted_cosines(
         np.cos(phases, out=phases)
         np.subtract(shift, phases, out=phases)
         yield start, phases
+
+
+def _phase_blocks(freqs: np.ndarray, times: np.ndarray) -> Iterator[tuple]:
+    """Yield (start, cos, sin) of outer(times[start : start + _PHASE_BLOCK], freqs).
+
+    On a grid equal bit for bit to np.linspace(times[0], times[-1], n), the angles
+    w*(t_s + j*dt), t_s a block's first time and 0 <= j < _PHASE_BLOCK, come by
+    angle addition from those of w*t_s and w*j*dt: N*(_PHASE_BLOCK + n/_PHASE_BLOCK)
+    trig calls, not N*n.  Any other grid takes np.cos and np.sin directly.
+    """
+    if not np.array_equal(times, np.linspace(times[0], times[-1], times.size)):
+        for start in range(0, times.size, _PHASE_BLOCK):
+            phases = np.outer(times[start : start + _PHASE_BLOCK], freqs)
+            yield start, np.cos(phases), np.sin(phases)
+        return
+    step = (times[-1] - times[0]) / max(times.size - 1, 1)
+    offsets = np.outer(np.arange(min(times.size, _PHASE_BLOCK)) * step, freqs)
+    cos_j, sin_j = np.cos(offsets), np.sin(offsets)
+    for start in range(0, times.size, _PHASE_BLOCK):
+        rows = min(_PHASE_BLOCK, times.size - start)
+        cos_s, sin_s = np.cos(times[start] * freqs), np.sin(times[start] * freqs)
+        cos_b, sin_b = cos_j[:rows], sin_j[:rows]
+        yield start, cos_b * cos_s - sin_b * sin_s, sin_b * cos_s + cos_b * sin_s
 
 
 def _cosine_average(

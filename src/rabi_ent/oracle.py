@@ -12,16 +12,19 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .dynamics import TimeSeries, _as_times
+from .dynamics import TimeSeries, _as_times, _phase_blocks
 from .errors import CapacityError, DomainError, TruncationWarning
 from .params import ModelParams, SpinState, effective_kappa
 from .specialfn import poisson_logpmf
 
 SPIN_DIM = 4
 TRUNCATION_MARGIN = 20
+# evolution leaves out what moves no amplitude by more than this (see _evolve_amplitudes)
+PRUNE_BOUND = 1e-15
 
 # composite spin basis order used throughout: |1,1>, |1,-1>, |1,0>, |0,0>
 _SPIN_INDEX = {
@@ -108,7 +111,9 @@ class EDResult:
 
     ``truncation_error`` is the sup-norm change of the population channels
     when n_max grows by TRUNCATION_MARGIN; None when the check was skipped.
-    ``states`` optionally carries the evolved vectors, one column per time.
+    ``states`` optionally carries the evolved vectors, one column per time;
+    the entries that evolution skips as out of reach of the initial state
+    (see PRUNE_BOUND) are exact zeros.
     """
 
     eigenvalues: np.ndarray
@@ -178,6 +183,37 @@ def _parity_block(params: ModelParams, config: EDConfig, parity: int) -> np.ndar
     return h
 
 
+def _parity_block_product(h: np.ndarray, n_osc: int, parity: int, v: np.ndarray) -> np.ndarray:
+    """``h @ v`` for a parity block from its at most three nonzeros per row: O(dim) per column."""
+    ms = np.arange(parity, n_osc, 2)
+    t = n_osc + np.arange(ms.size)
+    off, coupling = np.diagonal(h, 1)[: n_osc - 1, None], h[ms, t][:, None]
+    hv = np.diagonal(h)[:, None] * v
+    hv[: n_osc - 1] += off * v[1:n_osc]
+    hv[1:n_osc] += off * v[: n_osc - 1]
+    hv[ms] += coupling * v[t]
+    hv[t] += coupling * v[ms]
+    return hv
+
+
+def _checked_eigh(h: np.ndarray, product) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a symmetric ``h``, with every residual ||H v - lambda v|| <= 1e-9 ||H||,
+    H v taken as ``product(evecs)``."""
+    try:
+        evals, evecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
+        raise RuntimeError(f"eigendecomposition failed to converge: {exc}") from exc
+    norm = float(np.abs(evals).max()) if evals.size else 0.0
+    if norm > 0.0:
+        residuals = np.linalg.norm(product(evecs) - evecs * evals, axis=0)
+        worst = float(residuals.max())
+        if worst > 1e-9 * norm:
+            raise RuntimeError(
+                f"eigenpair residual {worst:.3e} exceeds 1e-9 * ||H|| = {1e-9 * norm:.3e}"
+            )
+    return evals, evecs
+
+
 def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of a symmetric matrix.
 
@@ -187,21 +223,9 @@ def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {h.shape}")
-    if not np.allclose(h, h.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(h).max())):
+    if not np.abs(h - h.T).max() <= 1e-12 * max(1.0, np.abs(h).max()):
         raise DomainError("matrix is not symmetric")
-    try:
-        evals, evecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise RuntimeError(f"eigendecomposition failed to converge: {exc}") from exc
-    norm = float(np.abs(evals).max()) if evals.size else 0.0
-    if norm > 0.0:
-        residuals = np.linalg.norm(h @ evecs - evecs * evals, axis=0)
-        worst = float(residuals.max())
-        if worst > 1e-9 * norm:
-            raise RuntimeError(
-                f"eigenpair residual {worst:.3e} exceeds 1e-9 * ||H|| = {1e-9 * norm:.3e}"
-            )
-    return evals, evecs
+    return _checked_eigh(h, h.__matmul__)
 
 
 def coherent_amplitudes(alpha_sq: float, n_max: int) -> np.ndarray:
@@ -275,46 +299,74 @@ def _initial_vector(
     return psi0
 
 
+def _kept(weights: np.ndarray) -> np.ndarray:
+    """Ascending indices left once the smallest ``weights`` are dropped while their sum
+    stays <= PRUNE_BOUND."""
+    order = np.argsort(weights, kind="stable")
+    dropped = np.searchsorted(np.cumsum(weights[order]), PRUNE_BOUND, side="right")
+    return np.sort(order[dropped:])
+
+
+def _span(mask: np.ndarray) -> slice:
+    """The shortest slice that holds every True entry of ``mask``."""
+    hits = np.flatnonzero(mask)
+    return slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
+
+
 def _evolve_amplitudes(
     params: ModelParams,
     config: EDConfig,
     times: np.ndarray,
     initial_spin: SpinState,
     initial_fock: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The full sorted spectrum and the sector amplitudes, shape (T, 4, n_osc).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full sorted spectrum and the sector amplitudes' real and imaginary parts,
+    each of shape (T, 4, n_osc).
 
-    Each parity block is diagonalized on its own and evolved with two real
-    products; the |0,0> sector has energies omega*(n + k_eff) and needs none.
+    Each parity block is diagonalized on its own.  Its eigencomponents of least
+    |c| = |<v|psi0>| are left out while their summed |c| stays <= PRUNE_BOUND, and so
+    are its s_n rows, and its |1,0>|m> rows, outside the span of those whose bound
+    sum_j |V_nj| |c_j| over the rest reaches PRUNE_BOUND: no amplitude moves by more
+    than 2 * PRUNE_BOUND.  The rest evolves by two real products per block of times;
+    the |0,0> sector has energies omega*(n + k_eff) and needs none.
     """
     _check_capacity(config)
     n_osc = config.n_max + 1
     psi0 = _initial_vector(params, config, initial_spin, initial_fock).reshape(SPIN_DIM, n_osc)
-    amps = np.zeros((times.size, SPIN_DIM, n_osc), dtype=complex)
     spectra = [params.omega * (np.arange(n_osc) + effective_kappa(params))]
-    amps[:, 3] = psi0[3] * np.exp(-1j * np.outer(times, spectra[0]))
+    re, im = np.zeros((2, times.size, SPIN_DIM, n_osc))
+    if psi0[3].any():
+        amps = psi0[3] * np.exp(-1j * np.outer(times, spectra[0]))
+        re[:, 3], im[:, 3] = amps.real, amps.imag
     for parity in (0, 1):
         signs = _parity_signs(n_osc, parity)
         psi = np.concatenate([(psi0[0] + signs * psi0[1]) * _SQRT_HALF, psi0[2, parity::2]])
-        evals, evecs = eigendecompose(_parity_block(params, config, parity))
+        h = _parity_block(params, config, parity)
+        evals, evecs = _checked_eigh(h, partial(_parity_block_product, h, n_osc, parity))
         spectra.append(evals)
-        coeff, phase = evecs.T @ psi, np.outer(times, evals)
-        block = np.empty(phase.shape, dtype=complex)
-        block.real = (np.cos(phase) * coeff) @ evecs.T
-        block.imag = (np.sin(phase) * -coeff) @ evecs.T
-        # s_n of both blocks combine into |1,1>|n> and, with sign e_n, |1,-1>|n>
-        amps[:, 0] += block[:, :n_osc]
-        amps[:, 1] += (1 - 2 * parity) * block[:, :n_osc]
-        amps[:, 2, parity::2] = block[:, n_osc:]
-    amps[:, 0] *= _SQRT_HALF
-    amps[:, 1] *= _parity_signs(n_osc, 0) * _SQRT_HALF
-    return np.sort(np.concatenate(spectra)), amps
+        coeff = evecs.T @ psi
+        kept = _kept(np.abs(coeff))
+        reach = np.abs(evecs[:, kept]) @ np.abs(coeff[kept]) >= PRUNE_BOUND
+        fock, ms = _span(reach[:n_osc]), _span(reach[n_osc:])
+        weights = evecs[np.r_[fock, n_osc + ms.start : n_osc + ms.stop]][:, kept].T
+        weights *= coeff[kept, None]
+        split = fock.stop - fock.start
+        m_rows = slice(parity + 2 * ms.start, parity + 2 * ms.stop, 2)
+        for start, cos, sin in _phase_blocks(-evals[kept], times) if weights.size else ():
+            rows = slice(start, start + len(cos))
+            for out, part in ((re, cos @ weights), (im, sin @ weights)):
+                # s_n of both blocks combine into |1,1>|n> and, with sign e_n, |1,-1>|n>
+                out[rows, 0, fock] += part[:, :split]
+                out[rows, 1, fock] += (1 - 2 * parity) * part[:, :split]
+                out[rows, 2, m_rows] = part[:, split:]
+    scale = np.array([np.ones(n_osc), _parity_signs(n_osc, 0)]) * _SQRT_HALF
+    re[:, :2] *= scale
+    im[:, :2] *= scale
+    return np.sort(np.concatenate(spectra)), re, im
 
 
-def _populations(amps: np.ndarray) -> dict[str, np.ndarray]:
-    parts = amps.view(float)
-    pops = np.einsum("tkn,tkn->kt", parts, parts)
-    return {"P11": pops[0], "P1m1": pops[1], "P10": pops[2], "P00": pops[3]}
+def _populations(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return np.einsum("tkn,tkn->kt", re, re) + np.einsum("tkn,tkn->kt", im, im)
 
 
 def evolve(
@@ -333,17 +385,23 @@ def evolve(
     sqrt(alpha_sq) taken real; pass ``initial_fock`` to start from a bare
     number state instead.  Evolution is by spectral decomposition, exact
     up to the Fock truncation, whose effect is measured by re-running with
-    n_max + 20 unless ``compute_truncation_error`` is off.
+    n_max + 20 unless ``compute_truncation_error`` is off, and up to the
+    eigencomponents and rows left out as below PRUNE_BOUND, which move no
+    amplitude by more than 2 * PRUNE_BOUND.
     """
     times = _as_times(times)
-    evals, amps = _evolve_amplitudes(params, config, times, initial_spin, initial_fock)
-    channels = _populations(amps)
-    rho = _COMPOSITE_TO_PRODUCT @ (amps @ amps.conj().swapaxes(1, 2)) @ _COMPOSITE_TO_PRODUCT.T
+    evals, re, im = _evolve_amplitudes(params, config, times, initial_spin, initial_fock)
+    pops = _populations(re, im)
+    channels = dict(zip(("P11", "P1m1", "P10", "P00"), pops))
+    re_t, im_t = re.swapaxes(1, 2), im.swapaxes(1, 2)
+    rho = np.empty((times.size, SPIN_DIM, SPIN_DIM), dtype=complex)
+    rho.real, rho.imag = re @ re_t + im @ im_t, im @ re_t - re @ im_t
+    rho = _COMPOSITE_TO_PRODUCT @ rho @ _COMPOSITE_TO_PRODUCT.T
     # renormalize away the coherent-state truncation deficit (~1e-24)
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     conc = concurrence(rho)
-    states = amps.transpose(1, 2, 0).reshape(-1, times.size) if keep_states else None
-    del amps  # freed before the larger re-run allocates its own
+    states = (re + 1j * im).transpose(1, 2, 0).reshape(-1, times.size) if keep_states else None
+    del re, im, re_t, im_t  # freed before the larger re-run allocates its own
     truncation_error = None
     if compute_truncation_error:
         bigger = replace(
@@ -351,12 +409,10 @@ def evolve(
             n_max=config.n_max + TRUNCATION_MARGIN,
             dim_ceiling=config.dim_ceiling + SPIN_DIM * TRUNCATION_MARGIN,
         )
-        channels_big = _populations(
-            _evolve_amplitudes(params, bigger, times, initial_spin, initial_fock)[1]
+        pops_big = _populations(
+            *_evolve_amplitudes(params, bigger, times, initial_spin, initial_fock)[1:]
         )
-        truncation_error = max(
-            float(np.abs(channels[name] - channels_big[name]).max()) for name in channels
-        )
+        truncation_error = float(np.abs(pops - pops_big).max())
         if truncation_error > 1e-6:
             warnings.warn(
                 f"truncation error {truncation_error:.3e} exceeds 1e-6; "

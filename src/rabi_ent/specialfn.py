@@ -119,7 +119,8 @@ def poisson_logweights(alpha_sq: float, tail_tol: float = DEFAULT_TAIL_TOL) -> L
         hit = np.nonzero(cum >= target)[0]
         if hit.size:
             cut = int(hit[0])
-            return LogWeightTable(alpha_sq=alpha_sq, log_p=log_p[: cut + 1], tail_tol=tail_tol)
+            # a copy, so that the table does not keep the whole trial array alive
+            return LogWeightTable(alpha_sq, log_p[: cut + 1].copy(), tail_tol)
         if cum[-1] > cum[-2]:
             n_hi = int(1.5 * n_hi) + 10
         else:

@@ -17,9 +17,11 @@ from rabi_ent import (
     two_branch_interference_check,
 )
 from rabi_ent.dynamics import (
+    _PHASE_BLOCK,
     _TIME_BLOCK,
     _cosine_average,
     _peak_transition_probs,
+    _phase_blocks,
     _shifted_cosines,
 )
 
@@ -121,6 +123,49 @@ def test_shared_cosine_block_rows_equal_single_row_calls():
         for coeff, row in zip(coeffs, rows):
             single = _cosine_average(coeff, freqs[: coeff.size], times, shift)
             assert np.array_equal(row, single)
+
+
+PHASE_FREQS = np.concatenate([np.linspace(-300.0, 300.0, 41), [0.0, -0.0, 1e-3, -1e-3]])
+
+
+def _stacked_phases(freqs, times):
+    blocks = list(_phase_blocks(freqs, times))
+    assert [start for start, _, _ in blocks] == list(range(0, times.size, _PHASE_BLOCK))
+    for start, cos, sin in blocks:
+        assert cos.shape == sin.shape == (min(_PHASE_BLOCK, times.size - start), freqs.size)
+    return np.concatenate([b[1] for b in blocks]), np.concatenate([b[2] for b in blocks])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, _PHASE_BLOCK, 2 * _PHASE_BLOCK + 37, 2000])
+@pytest.mark.parametrize("t0, t1", [(0.0, 600.0), (-3.7, 41.3), (1e3, 1.2e3), (-50.0, -10.0)])
+def test_phase_blocks_on_uniform_grids_match_direct_trig(n, t0, t1):
+    times = np.linspace(t0, t1, n)
+    cos, sin = _stacked_phases(PHASE_FREQS, times)
+    phases = np.outer(times, PHASE_FREQS)
+    # angle addition is exact up to the rounding of the angles it adds, whose
+    # size is set by |w| * max |t| rather than by |w t| itself
+    tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(PHASE_FREQS) * np.abs(times).max())
+    assert np.all(np.abs(cos - np.cos(phases)) <= tol)
+    assert np.all(np.abs(sin - np.sin(phases)) <= tol)
+    # zero frequencies give exact 1 and 0; negating a frequency negates sin exactly
+    assert np.all(cos[:, 41:43] == 1.0) and np.all(sin[:, 41:43] == 0.0)
+    mirrored_cos, mirrored_sin = _stacked_phases(-PHASE_FREQS, times)
+    assert np.array_equal(mirrored_cos, cos) and np.array_equal(mirrored_sin, -sin)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        np.array([0.0, 0.5, 2.0, 7.25]),
+        np.cumsum(np.full(2 * _PHASE_BLOCK + 5, 0.1)),  # evenly spaced, but not linspace's bits
+        np.nextafter(np.linspace(0.0, 50.0, 300), np.inf),
+    ],
+)
+def test_phase_blocks_on_other_grids_are_direct_trig(times):
+    assert not np.array_equal(times, np.linspace(times[0], times[-1], times.size))
+    cos, sin = _stacked_phases(PHASE_FREQS, times)
+    phases = np.outer(times, PHASE_FREQS)
+    assert np.array_equal(cos, np.cos(phases)) and np.array_equal(sin, np.sin(phases))
 
 
 def test_peak_transition_probs_equal_series_maxima():

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +23,7 @@ from rabi_ent import (
     required_n_max,
     transition_prob,
 )
+from rabi_ent.oracle import PRUNE_BOUND
 
 BELL_SYMMETRIC = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
 
@@ -112,6 +114,8 @@ def test_eigendecompose_rejects_bad_input():
         eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(DomainError):
         eigendecompose(np.zeros((2, 3)))
+    with pytest.raises(DomainError):
+        eigendecompose(np.diag([1.0, math.nan]))
 
 
 def test_coherent_amplitudes_norm_and_values():
@@ -316,6 +320,32 @@ def test_concurrence_werner_by_direct_eigenvalues():
     assert concurrence(werner) == pytest.approx(expected, abs=1e-12)
 
 
+def _concurrence_mpmath(rho: np.ndarray) -> float:
+    """Wootters' C from the eigenvalues of rho (sy x sy) rho* (sy x sy), at 40 digits."""
+    with mpmath.workdps(40):
+        r, flip = mpmath.matrix(rho.tolist()), mpmath.matrix(np.kron(SIGMA_Y, SIGMA_Y).tolist())
+        evals = mpmath.eig(r * flip * r.H.T * flip, left=False, right=False)
+        lams = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in evals), reverse=True)
+        return float(max(0, lams[0] - lams[1] - lams[2] - lams[3]))
+
+
+def test_concurrence_against_mpmath():
+    rng = np.random.default_rng(7)
+    stack = []
+    for rank in (1, 1, 2, 3, 4, 4):  # pure, rank-deficient mixed and full-rank mixed states
+        a = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        stack.append(a @ a.conj().T / np.linalg.norm(a) ** 2)
+    bell = np.outer(BELL_SYMMETRIC, BELL_SYMMETRIC)
+    stack += [bell, np.diag([1.0, 0.0, 0.0, 0.0]), 0.3 * bell + 0.7 * np.eye(4) / 4.0]
+    expected = np.array([_concurrence_mpmath(rho) for rho in stack])
+    assert expected.min() == 0.0 and expected.max() == pytest.approx(1.0, abs=1e-15)
+    for rho, value in zip(stack, expected):
+        assert abs(concurrence(rho) - value) <= 1e-14
+    stacked = concurrence(np.array(stack).reshape(3, 3, 4, 4))
+    assert stacked.shape == (3, 3)
+    assert np.abs(stacked.ravel() - expected).max() <= 1e-14
+
+
 def test_concurrence_rejects_invalid_density_matrices():
     with pytest.raises(DomainError):
         concurrence(np.eye(4))  # trace 4
@@ -403,6 +433,20 @@ def _wootters(rho: np.ndarray) -> float:
     return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
 
 
+def _dense_states(params, config, times, spin, initial_fock):
+    """Evolved states from eigh of the full composite-basis Hamiltonian, one column per time."""
+    n_osc = config.n_max + 1
+    sector = [SpinState.J1M1, SpinState.J1M_MINUS1, SpinState.J1M0, SpinState.J0M0].index(spin)
+    psi0 = np.zeros((4, n_osc))
+    if initial_fock is None:
+        psi0[sector] = coherent_amplitudes(params.alpha_sq, config.n_max)
+    else:
+        psi0[sector, initial_fock] = 1.0
+    evals, evecs = np.linalg.eigh(build_hamiltonian(params, config))
+    coeff = evecs.T @ psi0.ravel()
+    return evecs @ (np.exp(-1j * np.outer(evals, times)) * coeff[:, None])
+
+
 @pytest.mark.parametrize("initial_fock", [None, 5])
 @pytest.mark.parametrize("spin", list(SpinState))
 def test_evolve_matches_full_space_dense_evolution(spin, initial_fock):
@@ -418,15 +462,7 @@ def test_evolve_matches_full_space_dense_evolution(spin, initial_fock):
         compute_truncation_error=False,
         keep_states=True,
     )
-    sector = [SpinState.J1M1, SpinState.J1M_MINUS1, SpinState.J1M0, SpinState.J0M0].index(spin)
-    psi0 = np.zeros((4, n_osc))
-    if initial_fock is None:
-        psi0[sector] = coherent_amplitudes(PARITY_PARAMS.alpha_sq, config.n_max)
-    else:
-        psi0[sector, initial_fock] = 1.0
-    evals, evecs = np.linalg.eigh(build_hamiltonian(PARITY_PARAMS, config))
-    coeff = evecs.T @ psi0.ravel()
-    states = evecs @ (np.exp(-1j * np.outer(evals, times)) * coeff[:, None])
+    states = _dense_states(PARITY_PARAMS, config, times, spin, initial_fock)
     assert result.states.shape == states.shape
     assert np.abs(result.states - states).max() <= 1e-10
     sectors = states.reshape(4, n_osc, times.size)
@@ -450,3 +486,68 @@ def test_concurrence_of_a_stack_matches_each_matrix():
     stack[2] = np.diag([1.5, -0.5, 0.0, 0.0])
     with pytest.raises(DomainError):
         concurrence(stack)
+
+
+@pytest.mark.parametrize("variant", list(HamiltonianVariant))
+@pytest.mark.parametrize("n_max", [0, 1, 12, 13])
+def test_parity_block_product_is_the_dense_product(variant, n_max):
+    from rabi_ent.oracle import _parity_block, _parity_block_product
+
+    config = EDConfig(n_max=n_max, variant=variant)
+    rng = np.random.default_rng(n_max)
+    for parity in (0, 1):
+        h = _parity_block(PARITY_PARAMS, config, parity)
+        v = rng.standard_normal((h.shape[0], 7))
+        product = _parity_block_product(h, n_max + 1, parity, v)
+        assert np.abs(product - h @ v).max() <= 1e-14 * np.abs(h).sum(axis=1).max()
+
+
+# alpha_sq = 9 with a cutoff well past its required 41: the coherent tail, and
+# the eigencomponents and Fock rows it cannot reach, fall below PRUNE_BOUND
+PRUNE_PARAMS = ModelParams(ratio_r=0.2, beta=0.4717, kappa0=-0.7, alpha_sq=9.0)
+
+
+@pytest.mark.parametrize(
+    "spin, initial_fock",
+    [
+        (SpinState.J1M0, None),
+        (SpinState.J0M0, None),
+        (SpinState.J1M1, 7),
+        (SpinState.J1M0, 6),  # no weight in the odd parity block
+    ],
+)
+def test_pruned_evolution_matches_unpruned_dense_evolution(spin, initial_fock, monkeypatch):
+    from rabi_ent import oracle
+
+    config = EDConfig(n_max=80)
+    n_osc = config.n_max + 1
+    times = np.linspace(0.0, 40.0, 301)
+
+    def run():
+        return evolve(
+            PRUNE_PARAMS,
+            config,
+            times,
+            initial_spin=spin,
+            initial_fock=initial_fock,
+            compute_truncation_error=False,
+            keep_states=True,
+        )
+
+    result = run()
+    states = _dense_states(PRUNE_PARAMS, config, times, spin, initial_fock)
+    assert np.abs(result.states - states).max() <= 1e-12
+    sectors = states.reshape(4, n_osc, times.size)
+    pops = np.sum(np.abs(sectors) ** 2, axis=1)
+    for row, name in enumerate(("P11", "P1m1", "P10", "P00")):
+        assert np.abs(result.populations.channels[name] - pops[row]).max() <= 1e-12
+    rho = COMPOSITE_IN_PRODUCT @ np.einsum("knt,lnt->tkl", sectors, sectors.conj())
+    expected = [_wootters(r / np.trace(r).real) for r in rho @ COMPOSITE_IN_PRODUCT.T]
+    assert np.abs(result.concurrence.channels["C"] - expected).max() <= 1e-12
+    # against the same evolution with nothing left out, the skipped entries are
+    # exact zeros and no amplitude moves by more than 2 * PRUNE_BOUND
+    monkeypatch.setattr(oracle, "PRUNE_BOUND", 0.0)
+    unpruned = run().states
+    if spin is not SpinState.J0M0:  # the |0,0> sector is evolved whole, by its phases alone
+        assert np.count_nonzero(result.states == 0.0) > np.count_nonzero(unpruned == 0.0)
+    assert np.abs(result.states - unpruned).max() <= 2 * PRUNE_BOUND

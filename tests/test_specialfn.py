@@ -182,6 +182,16 @@ def test_poisson_normalization_and_shape(alpha_sq):
     assert abs(peak - math.floor(alpha_sq)) <= 1
 
 
+@pytest.mark.parametrize(
+    "alpha_sq, tail_tol", [(0.0, 1e-12), (1.0, 1e-12), (1000.0, 1e-12), (250.0, 1e-300)]
+)
+def test_poisson_table_owns_exactly_its_entries(alpha_sq, tail_tol):
+    # the last case never reaches 1 - tail_tol and stops where the increments underflow
+    table = poisson_logweights(alpha_sq, tail_tol)
+    assert table.log_p.base is None
+    assert table.log_p.shape == (table.n_cut + 1,)
+
+
 def test_poisson_tail_tol_controls_cut():
     loose = poisson_logweights(25.0, tail_tol=1e-7)
     tight = poisson_logweights(25.0, tail_tol=1e-12)
