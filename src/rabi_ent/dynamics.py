@@ -18,7 +18,6 @@ from .params import ModelParams
 from .specialfn import DEFAULT_TAIL_TOL, LogWeightTable, poisson_logweights
 from .spectrum import aa_columns, aa_row
 
-_TIME_BLOCK = 4096
 _PHASE_BLOCK = 128
 
 
@@ -54,57 +53,56 @@ class TimeSeries:
         object.__setattr__(self, "channels", channels)
 
 
-def _shifted_cosines(
-    freqs: np.ndarray, times: np.ndarray, shift: float
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, shift - cos(outer(freqs, block))) per block of times.
-
-    A block covers at most _TIME_BLOCK times and is C-contiguous, so its
-    leading rows are a contiguous slice: a coefficient vector contracted
-    against them gets exactly the contraction of a block built from those
-    frequencies alone.
-    """
-    for start in range(0, times.size, _TIME_BLOCK):
-        phases = np.outer(freqs, times[start : start + _TIME_BLOCK])
-        np.cos(phases, out=phases)
-        np.subtract(shift, phases, out=phases)
-        yield start, phases
-
-
 def _phase_blocks(freqs: np.ndarray, times: np.ndarray) -> Iterator[tuple]:
     """Yield (start, cos, sin) of outer(times[start : start + _PHASE_BLOCK], freqs).
 
     On a grid equal bit for bit to np.linspace(times[0], times[-1], n), the angles
     w*(t_s + j*dt), t_s a block's first time and 0 <= j < _PHASE_BLOCK, come by
     angle addition from those of w*t_s and w*j*dt: N*(_PHASE_BLOCK + n/_PHASE_BLOCK)
-    trig calls, not N*n.  Any other grid takes np.cos and np.sin directly.
+    trig calls, not N*n.  Any other grid takes np.cos and np.sin directly.  T, W
+    and the oracle's evolution all take their phases from here.
+
+    Every block is written into the same two buffers, which the caller may
+    overwrite: a block is valid until the next one is drawn.  All buffers come
+    from one allocation per call, so that many calls in a row reuse heap memory
+    instead of faulting in fresh pages block after block.
     """
-    if not np.array_equal(times, np.linspace(times[0], times[-1], times.size)):
-        for start in range(0, times.size, _PHASE_BLOCK):
-            phases = np.outer(times[start : start + _PHASE_BLOCK], freqs)
-            yield start, np.cos(phases), np.sin(phases)
-        return
-    step = (times[-1] - times[0]) / max(times.size - 1, 1)
-    offsets = np.outer(np.arange(min(times.size, _PHASE_BLOCK)) * step, freqs)
-    cos_j, sin_j = np.cos(offsets), np.sin(offsets)
+    width = min(times.size, _PHASE_BLOCK)
+    cos, sin, tmp, cos_j, sin_j = np.empty((5, width, freqs.size))
+    uniform = np.array_equal(times, np.linspace(times[0], times[-1], times.size))
+    if uniform:
+        step = (times[-1] - times[0]) / max(times.size - 1, 1)
+        np.outer(np.arange(width) * step, freqs, out=tmp)
+        np.cos(tmp, out=cos_j)
+        np.sin(tmp, out=sin_j)
     for start in range(0, times.size, _PHASE_BLOCK):
         rows = min(_PHASE_BLOCK, times.size - start)
-        cos_s, sin_s = np.cos(times[start] * freqs), np.sin(times[start] * freqs)
-        cos_b, sin_b = cos_j[:rows], sin_j[:rows]
-        yield start, cos_b * cos_s - sin_b * sin_s, sin_b * cos_s + cos_b * sin_s
+        c, s, t = cos[:rows], sin[:rows], tmp[:rows]
+        if uniform:
+            cos_s, sin_s = np.cos(times[start] * freqs), np.sin(times[start] * freqs)
+            np.multiply(cos_j[:rows], cos_s, out=c)
+            c -= np.multiply(sin_j[:rows], sin_s, out=t)
+            np.multiply(sin_j[:rows], cos_s, out=s)
+            s += np.multiply(cos_j[:rows], sin_s, out=t)
+        else:
+            np.outer(times[start : start + rows], freqs, out=t)
+            np.cos(t, out=c)
+            np.sin(t, out=s)
+        yield start, c, s
 
 
 def _cosine_average(
     coeff: np.ndarray, freqs: np.ndarray, times: np.ndarray, shift: float
 ) -> np.ndarray:
-    """sum_N coeff_N * (shift - cos(freqs_N * t)), blocked over t to bound memory.
+    """sum_N coeff_N * (shift - cos(freqs_N * t)), one block of :func:`_phase_blocks` at a time.
 
-    The contraction over N runs in a fixed order for every block of
-    :func:`_shifted_cosines`, so the result is independent of the blocking.
+    The cosines are clamped into [-1, 1], so T(0) = 0 exactly and 0 <= T <= 1/4
+    hold under angle addition too.
     """
     out = np.empty_like(times)
-    for start, block in _shifted_cosines(freqs, times, shift):
-        out[start : start + block.shape[1]] = coeff @ block
+    for start, cos, _ in _phase_blocks(freqs, times):
+        block = np.subtract(shift, np.clip(cos, -1.0, 1.0, out=cos), out=cos)
+        out[start : start + len(block)] = block @ coeff
     return out
 
 
@@ -157,7 +155,7 @@ def _peak_transition_probs(
     for i, params in enumerate(points):
         rows_by_alpha.setdefault(params.alpha_sq, []).append(i)
     peaks = np.full(len(points), -np.inf)
-    width = min(times.size, _TIME_BLOCK)
+    width = min(times.size, _PHASE_BLOCK)
     groups: dict[tuple, list[tuple[int, LogWeightTable]]] = {}
     held = longest = 0
     for k, (alpha_sq, rows) in enumerate(rows_by_alpha.items(), 1):
@@ -185,10 +183,11 @@ def _group_peaks(
     the next group builds its own.
     """
     columns = aa_columns(params, max(table.n_cut for _, table in members))
-    for _, block in _shifted_cosines(columns["rabi_freq"], times, 1.0):
-        for i, table in members:
-            values = _t_coefficients(table, columns) @ block[: table.n_cut + 1]
-            peaks[i] = np.maximum(peaks[i], values.max())
+    coeffs = [(i, _t_coefficients(table, columns)) for i, table in members]
+    for _, cos, _ in _phase_blocks(columns["rabi_freq"], times):
+        block = np.subtract(1.0, np.clip(cos, -1.0, 1.0, out=cos), out=cos)
+        for i, coeff in coeffs:
+            peaks[i] = np.maximum(peaks[i], (block[:, : coeff.size] @ coeff).max())
 
 
 def survival_prob(

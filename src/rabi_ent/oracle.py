@@ -335,9 +335,9 @@ def _evolve_amplitudes(
     psi0 = _initial_vector(params, config, initial_spin, initial_fock).reshape(SPIN_DIM, n_osc)
     spectra = [params.omega * (np.arange(n_osc) + effective_kappa(params))]
     re, im = np.zeros((2, times.size, SPIN_DIM, n_osc))
-    if psi0[3].any():
-        amps = psi0[3] * np.exp(-1j * np.outer(times, spectra[0]))
-        re[:, 3], im[:, 3] = amps.real, amps.imag
+    for start, cos, sin in _phase_blocks(-spectra[0], times) if psi0[3].any() else ():
+        rows = slice(start, start + len(cos))
+        re[rows, 3], im[rows, 3] = cos * psi0[3], sin * psi0[3]
     for parity in (0, 1):
         signs = _parity_signs(n_osc, parity)
         psi = np.concatenate([(psi0[0] + signs * psi0[1]) * _SQRT_HALF, psi0[2, parity::2]])

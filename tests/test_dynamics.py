@@ -18,12 +18,12 @@ from rabi_ent import (
 )
 from rabi_ent.dynamics import (
     _PHASE_BLOCK,
-    _TIME_BLOCK,
     _cosine_average,
     _peak_transition_probs,
     _phase_blocks,
-    _shifted_cosines,
+    _t_coefficients,
 )
+from rabi_ent.spectrum import aa_columns
 
 
 def random_params(rng):
@@ -70,6 +70,18 @@ def test_transition_prob_bounds_random_draws():
         assert np.all(values <= 0.25)
 
 
+def test_transition_prob_bounds_hold_at_revivals_on_uniform_grids():
+    # with beta = kappa = 0 every row shares one frequency, so T returns to 0
+    # at t = m * pi / r; angle addition can round cos there past 1, which the
+    # clamp keeps from making T negative
+    params = ModelParams(ratio_r=0.2, beta=0.0, kappa0=0.0, alpha_sq=16.0)
+    for m in range(1, 41):
+        values = transition_prob(params, np.linspace(0.0, m * np.pi / 0.2, 300)).channels["T"]
+        assert values[0] == 0.0
+        assert np.all(values >= 0.0)
+        assert np.all(values <= 0.25)
+
+
 def test_zero_coupling_closed_form():
     # beta = 0, kappa = 0: every photon number shares weight 1/8 and
     # frequency 2*ratio_r, so P_stay = 1 - (1/4)(1 - cos(2 r t))
@@ -99,37 +111,61 @@ def test_tail_tol_perturbation_bounded_by_discarded_mass():
 
 
 def test_transition_prob_blocking_is_invisible():
-    # grids longer than the internal time block must agree with a split evaluation
+    # a non-uniform grid takes np.cos directly, so a split evaluation gives
+    # the same values bit for bit
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=16.0)
+    times = 500.0 * np.linspace(0.0, 1.0, 9001) ** 2
+    halves = (times[:4500], times[4500:])
+    for grid in (times, *halves):
+        assert not np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
+    whole = transition_prob(params, times).channels["T"]
+    split = np.concatenate([transition_prob(params, half).channels["T"] for half in halves])
+    assert np.array_equal(whole, split)
+    # on a linspace grid the phases come by angle addition from each block's
+    # first time, so a value depends on where its block starts, but only within
+    # the rounding of the angles (the model of the direct-trig test below),
+    # summed over the coefficients
     times = np.linspace(0.0, 500.0, 9001)
     whole = transition_prob(params, times).channels["T"]
-    first = transition_prob(params, times[:4500]).channels["T"]
-    second = transition_prob(params, times[4500:]).channels["T"]
-    assert np.array_equal(whole, np.concatenate([first, second]))
+    split = np.concatenate(
+        [transition_prob(params, half).channels["T"] for half in (times[:4500], times[4500:])]
+    )
+    table = poisson_logweights(params.alpha_sq)
+    columns = aa_columns(params, table.n_cut)
+    coeff, freqs = _t_coefficients(table, columns), columns["rabi_freq"]
+    direct = coeff @ (1.0 - np.cos(np.outer(freqs, times)))
+    tol = 4.0 * np.finfo(float).eps * max(1.0, np.abs(freqs).max() * times[-1]) * coeff.sum()
+    assert np.abs(whole - split).max() <= tol
+    assert np.abs(whole - direct).max() <= tol
 
 
 def test_shared_cosine_block_rows_equal_single_row_calls():
-    # rows of different lengths read the leading rows of one shared block,
-    # on a grid that spans more than one time block
+    # coefficient rows of different lengths contract the leading columns of one
+    # shared block, as the grid scan does, on a uniform and a non-uniform grid
+    # that each span more than one block of times
     rng = np.random.default_rng(7)
     freqs = rng.uniform(0.0, 3.0, 40)
-    times = np.linspace(0.0, 300.0, _TIME_BLOCK + 1500)
     coeffs = [rng.uniform(0.0, 0.1, n) for n in (40, 5, 17, 1)]
-    for shift in (1.0, 0.0):
-        rows = [np.empty_like(times) for _ in coeffs]
-        for start, block in _shifted_cosines(freqs, times, shift):
+    uniform = np.linspace(0.0, 300.0, 2 * _PHASE_BLOCK + 77)
+    scattered = np.sort(rng.uniform(0.0, 300.0, 2 * _PHASE_BLOCK + 77))
+    for times in (uniform, scattered):
+        for shift in (1.0, 0.0):
+            rows = [np.empty_like(times) for _ in coeffs]
+            for start, cos, _ in _phase_blocks(freqs, times):
+                block = shift - np.clip(cos, -1.0, 1.0)
+                for coeff, row in zip(coeffs, rows):
+                    row[start : start + len(cos)] = block[:, : coeff.size] @ coeff
             for coeff, row in zip(coeffs, rows):
-                row[start : start + block.shape[1]] = coeff @ block[: coeff.size]
-        for coeff, row in zip(coeffs, rows):
-            single = _cosine_average(coeff, freqs[: coeff.size], times, shift)
-            assert np.array_equal(row, single)
+                single = _cosine_average(coeff, freqs[: coeff.size], times, shift)
+                assert np.array_equal(row, single)
 
 
 PHASE_FREQS = np.concatenate([np.linspace(-300.0, 300.0, 41), [0.0, -0.0, 1e-3, -1e-3]])
 
 
 def _stacked_phases(freqs, times):
-    blocks = list(_phase_blocks(freqs, times))
+    # each block is overwritten by the next, so keep copies
+    blocks = [(start, cos.copy(), sin.copy()) for start, cos, sin in _phase_blocks(freqs, times)]
     assert [start for start, _, _ in blocks] == list(range(0, times.size, _PHASE_BLOCK))
     for start, cos, sin in blocks:
         assert cos.shape == sin.shape == (min(_PHASE_BLOCK, times.size - start), freqs.size)
@@ -176,7 +212,7 @@ def test_peak_transition_probs_equal_series_maxima():
         replace(params, beta=0.0, kappa0=-0.0, alpha_sq=2.5),
         replace(params, beta=0.0, kappa0=0.0, alpha_sq=2.5),
     ]
-    times = np.linspace(0.0, 500.0, _TIME_BLOCK + 901)
+    times = np.linspace(0.0, 500.0, 4997)
     peaks = _peak_transition_probs(points, times)
     for point, peak in zip(points, peaks):
         assert peak == transition_prob(point, times).channels["T"].max()

@@ -22,7 +22,11 @@ model_fields = st.fixed_dictionaries(
         "alpha_sq": st.floats(0.0, 300.0),
     }
 )
-time_grids = st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40, unique=True).map(sorted)
+# sorted random times take the direct cosines; linspace grids, the angle-addition path
+time_grids = st.one_of(
+    st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40, unique=True).map(sorted),
+    st.builds(np.linspace, st.just(0.0), st.floats(1e-3, 1e3), st.integers(1, 300)),
+)
 
 
 def t_of(times, **fields):
