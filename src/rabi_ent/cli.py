@@ -10,6 +10,7 @@ byte-identical output files at a fixed BLAS thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,12 +37,12 @@ from .specialfn import poisson_logweights
 _PRESET_PANELS = {1: 4, 2: 3, 3: 3, 4: 1}
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, pieces) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         # mkstemp creates 0600; restore the ordinary umask-derived mode
         umask = os.umask(0)
         os.umask(umask)
@@ -84,9 +85,18 @@ def _resolve_config(args) -> tuple[dict, str]:
     raise ConfigError("provide either --config FILE or --fig N [--panel K]")
 
 
+def _csv_pieces(header, columns):
+    """The CSV text in pieces of 4096 rows: integer columns by %d, float columns by %.17g."""
+    row = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns) + "\n"
+    yield ",".join(header) + "\n"
+    for start in range(0, columns[0].size, 4096):
+        values = (col[start : start + 4096].tolist() for col in columns)
+        yield "".join(map(row.__mod__, zip(*values)))
+
+
 # Each compute function maps a validated config to the CSV header, the CSV
-# rows, the summary values added to the sidecar, and the tail of the line
-# printed after "wrote <path>".
+# columns (a tuple of 1-D arrays), the summary values added to the sidecar,
+# and the tail of the line printed after "wrote <path>".
 
 
 def _spectrum(cfg: dict):
@@ -95,10 +105,9 @@ def _spectrum(cfg: dict):
     n_min, n_max = rows_cfg["n_min"], rows_cfg["n_max"]
     if n_max is None:
         n_max = poisson_logweights(params.alpha_sq, section(cfg, "tail_tol")).n_cut
-    columns = aa_columns(params, n_max, n_min)
     header = ("N", "omega1N", "omega2N", "t0tilde", "e0", "eplus", "eminus", "weight", "rabi_freq")
-    rows = zip(columns["N"].astype(str), *(columns[name].tolist() for name in header[1:]))
-    return header, rows, {"n_min": n_min, "n_max": n_max}, f"({n_max - n_min + 1} rows)"
+    columns = tuple(map(aa_columns(params, n_max, n_min).get, header))
+    return header, columns, {"n_min": n_min, "n_max": n_max}, f"({n_max - n_min + 1} rows)"
 
 
 def _tprob(cfg: dict):
@@ -108,7 +117,7 @@ def _tprob(cfg: dict):
     p_vals = 1.0 - 2.0 * t_vals
     summary = {"max_T": float(t_vals.max()), "min_P_stay": float(p_vals.min())}
     note = f"({times.size} rows); max T = {t_vals.max():.6g}"
-    return ("t", "T", "P_stay"), zip(times, t_vals, p_vals), summary, note
+    return ("t", "T", "P_stay"), (times, t_vals, p_vals), summary, note
 
 
 def _oracle(cfg: dict):
@@ -127,21 +136,21 @@ def _oracle(cfg: dict):
     )
     pops = result.populations.channels
     conc = result.concurrence.channels["C"]
-    rows = zip(times, pops["P11"], pops["P1m1"], pops["P10"], pops["P00"], conc)
+    columns = (times, pops["P11"], pops["P1m1"], pops["P10"], pops["P00"], conc)
     summary = {
         "n_max": config.n_max,
         "variant": config.variant.value,
         "truncation_error": result.truncation_error,
     }
     note = f"({times.size} rows); truncation_error = {result.truncation_error}"
-    return ("t", "P11", "P1m1", "P10", "P00", "C"), rows, summary, note
+    return ("t", "P11", "P1m1", "P10", "P00", "C"), columns, summary, note
 
 
 def _jc(cfg: dict):
     jc = section(cfg, "jc", required=True)
     times = times_from_config(cfg)
     w_vals = jc_inversion(times=times, tail_tol=section(cfg, "tail_tol"), **jc).channels["W"]
-    return ("t", "W"), zip(times, w_vals), {}, f"({times.size} rows)"
+    return ("t", "W"), (times, w_vals), {}, f"({times.size} rows)"
 
 
 def _scan(cfg: dict):
@@ -168,10 +177,8 @@ def _scan(cfg: dict):
         ]
         summary["refine_metadata"] = refined.metadata
         best = refined.best_objective
-    header = result.axis_names + ("objective",)
-    rows = (tuple(point) + (obj,) for point, obj in zip(result.points, result.objectives))
     note = f"({result.objectives.size} grid rows); best objective = {best:.6g}"
-    return header, rows, summary, note
+    return (*result.axis_names, "objective"), (*result.points.T, result.objectives), summary, note
 
 
 # command -> (help text, compute function)
@@ -201,20 +208,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's parser, built on first use
+
+
 def main(argv=None) -> int:
     """Run one command: write its CSV, its sidecar and a summary line; return the exit code."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg, source = _resolve_config(args)
-        header, rows, summary, note = _COMMANDS[args.command][1](cfg)
+        header, columns, summary, note = _COMMANDS[args.command][1](cfg)
         out = args.out if args.out is not None else section(cfg, "output")["path"]
         path = Path(out if out is not None else f"{args.command}_{cfg.get('label', source)}.csv")
-        lines = [",".join(header)]
-        lines += (",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) for row in rows)
-        _atomic_write(path, "\n".join(lines) + "\n")
+        _atomic_write(path, _csv_pieces(header, columns))
         payload = {"command": args.command, "version": __version__, "resolved": cfg, **summary}
         sidecar = path.with_name(path.name + ".json")
-        _atomic_write(sidecar, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _atomic_write(sidecar, (json.dumps(payload, indent=2, sort_keys=True), "\n"))
         print(f"wrote {path} {note}")
         return 0
     except ConfigError as exc:

@@ -53,14 +53,14 @@ class TimeSeries:
         object.__setattr__(self, "channels", channels)
 
 
-def _phase_blocks(freqs: np.ndarray, times: np.ndarray) -> Iterator[tuple]:
+def _phase_blocks(freqs: np.ndarray, times: np.ndarray, _sin: bool = True) -> Iterator[tuple]:
     """Yield (start, cos, sin) of outer(times[start : start + _PHASE_BLOCK], freqs).
 
     On a grid equal bit for bit to np.linspace(times[0], times[-1], n), the angles
     w*(t_s + j*dt), t_s a block's first time and 0 <= j < _PHASE_BLOCK, come by
     angle addition from those of w*t_s and w*j*dt: N*(_PHASE_BLOCK + n/_PHASE_BLOCK)
-    trig calls, not N*n.  Any other grid takes np.cos and np.sin directly.  T, W
-    and the oracle's evolution all take their phases from here.
+    trig calls, not N*n.  Any other grid takes np.cos and np.sin directly.  With
+    ``_sin`` false (T, W, the grid scan) sin is None and cos keeps the same bits.
 
     Every block is written into the same two buffers, which the caller may
     overwrite: a block is valid until the next one is drawn.  All buffers come
@@ -82,13 +82,15 @@ def _phase_blocks(freqs: np.ndarray, times: np.ndarray) -> Iterator[tuple]:
             cos_s, sin_s = np.cos(times[start] * freqs), np.sin(times[start] * freqs)
             np.multiply(cos_j[:rows], cos_s, out=c)
             c -= np.multiply(sin_j[:rows], sin_s, out=t)
-            np.multiply(sin_j[:rows], cos_s, out=s)
-            s += np.multiply(cos_j[:rows], sin_s, out=t)
+            if _sin:
+                np.multiply(sin_j[:rows], cos_s, out=s)
+                s += np.multiply(cos_j[:rows], sin_s, out=t)
         else:
             np.outer(times[start : start + rows], freqs, out=t)
             np.cos(t, out=c)
-            np.sin(t, out=s)
-        yield start, c, s
+            if _sin:
+                np.sin(t, out=s)
+        yield start, c, s if _sin else None
 
 
 def _cosine_average(
@@ -100,7 +102,7 @@ def _cosine_average(
     hold under angle addition too.
     """
     out = np.empty_like(times)
-    for start, cos, _ in _phase_blocks(freqs, times):
+    for start, cos, _ in _phase_blocks(freqs, times, _sin=False):
         block = np.subtract(shift, np.clip(cos, -1.0, 1.0, out=cos), out=cos)
         out[start : start + len(block)] = block @ coeff
     return out
@@ -184,7 +186,7 @@ def _group_peaks(
     """
     columns = aa_columns(params, max(table.n_cut for _, table in members))
     coeffs = [(i, _t_coefficients(table, columns)) for i, table in members]
-    for _, cos, _ in _phase_blocks(columns["rabi_freq"], times):
+    for _, cos, _ in _phase_blocks(columns["rabi_freq"], times, _sin=False):
         block = np.subtract(1.0, np.clip(cos, -1.0, 1.0, out=cos), out=cos)
         for i, coeff in coeffs:
             peaks[i] = np.maximum(peaks[i], (block[:, : coeff.size] @ coeff).max())

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rabi_ent.cli import load_preset, main, preset_name
-from rabi_ent.config import SCHEMA, MapOf, section, validate_config
+from rabi_ent.cli import _csv_pieces, build_parser, load_preset, main, preset_name
+from rabi_ent.config import SCHEMA, MapOf, scanspec_from_config, section, validate_config
+from rabi_ent.scan import grid_scan
 
 AA_VALID_MODEL = {"ratio_r": 0.05, "beta": 0.2, "kappa0": 0.0, "alpha_sq": 9.0}
 
@@ -131,6 +132,87 @@ def test_outputs_are_byte_identical_across_runs(tmp_path, monkeypatch):
     a_side = (tmp_path / "a.csv.json").read_text()
     b_side = (tmp_path / "b.csv.json").read_text()
     assert a_side == b_side
+
+
+def per_value_csv(header, columns) -> str:
+    # the writer's byte contract: integers as plain decimals, floats as f"{v:.17g}"
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(str(v) if isinstance(v, np.integer) else f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308]
+EDGE_FLOATS += [1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5, 1e16]
+
+
+def test_csv_writer_matches_per_value_formatting():
+    rng = np.random.default_rng(7)
+    scales = 10.0 ** rng.integers(-300, 300, 40)
+    floats = np.concatenate([EDGE_FLOATS, rng.standard_normal(40) * scales])
+    nan_peaks = np.full(floats.size, np.nan)
+    columns = (np.arange(12, 12 + floats.size), floats, floats[::-1].copy(), nan_peaks)
+    header = ("N", "a", "b", "objective")
+    text = "".join(_csv_pieces(header, columns))
+    assert text == per_value_csv(header, columns)
+    assert text.splitlines()[1].startswith("12,-0,")
+
+
+def test_csv_writer_over_more_than_one_chunk():
+    rng = np.random.default_rng(8)
+    columns = (np.arange(9001), np.linspace(0.0, 900.0, 9001), rng.uniform(-1.0, 1.0, 9001))
+    pieces = list(_csv_pieces(("N", "t", "W"), columns))
+    assert len(pieces) == 1 + 3  # header, then chunks of 4096, 4096 and 809 rows
+    assert "".join(pieces) == per_value_csv(("N", "t", "W"), columns)
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, tmp_path):
+    import argparse
+
+    argv = ["tprob", "--fig", "1", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(init(self, *a, **k))
+    )
+    assert main(argv) == 0 and main(argv) == 0
+    assert built == []
+    assert build_parser() is not build_parser() and len(built) == 2 * (1 + 5)
+
+
+def test_scan_with_no_swept_axis_writes_only_the_objective(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    payload = {
+        "scan": {
+            "ranges": {},
+            "fixed": {"ratio_r": 0.12, "beta": 0.4, "kappa0": 0.02, "alpha_sq": 16.0},
+            "horizon": 100.0,
+            "time_points": 300,
+        }
+    }
+    path = write_config(tmp_path / "cfg.json", payload)
+    assert main(["scan", "--config", path, "--out", "s.csv"]) == 0
+    result = grid_scan(scanspec_from_config(validate_config(payload)))
+    expected = per_value_csv(("objective",), (result.objectives,))
+    assert (tmp_path / "s.csv").read_text() == expected
+    assert expected.count("\n") == 2
+
+
+def test_spectrum_csv_matches_per_value_formatting(tmp_path, monkeypatch):
+    from rabi_ent.config import params_from_config
+    from rabi_ent.spectrum import aa_columns
+
+    monkeypatch.chdir(tmp_path)
+    cfg = load_preset(4)
+    cfg["spectrum"] = {"n_min": 240, "n_max": 260}
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["spectrum", "--config", path, "--out", "rows.csv"]) == 0
+    header = ("N", "omega1N", "omega2N", "t0tilde", "e0", "eplus", "eminus", "weight", "rabi_freq")
+    columns = aa_columns(params_from_config(cfg), 260, 240)
+    text = (tmp_path / "rows.csv").read_text()
+    assert text == per_value_csv(header, [columns[name] for name in header])
+    assert text.splitlines()[1].startswith("240,")
 
 
 def test_spectrum_columns_and_uncoupled_weight(tmp_path, monkeypatch):

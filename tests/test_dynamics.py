@@ -204,6 +204,24 @@ def test_phase_blocks_on_other_grids_are_direct_trig(times):
     assert np.array_equal(cos, np.cos(phases)) and np.array_equal(sin, np.sin(phases))
 
 
+@pytest.mark.parametrize(
+    "times",
+    [
+        np.linspace(0.0, 600.0, 2 * _PHASE_BLOCK + 37),
+        np.linspace(-3.7, 41.3, 5),
+        600.0 * np.linspace(0.0, 1.0, 2 * _PHASE_BLOCK + 37) ** 2,
+        np.array([0.0, 0.5, 2.0, 7.25]),
+    ],
+)
+def test_phase_blocks_cos_only_is_the_same_cos(times):
+    full = [(start, cos.copy()) for start, cos, _ in _phase_blocks(PHASE_FREQS, times)]
+    for (start, cos, sin), (full_start, full_cos) in zip(
+        _phase_blocks(PHASE_FREQS, times, _sin=False), full, strict=True
+    ):
+        assert sin is None and start == full_start
+        assert cos.tobytes() == full_cos.tobytes()
+
+
 def test_peak_transition_probs_equal_series_maxima():
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=16.0)
     points = [replace(params, alpha_sq=a) for a in (16.0, 0.0, 40.0, 2.5)]
