@@ -2,9 +2,9 @@
 
 Subcommands compute the closed-form spectrum, the averaged transition
 probability, the dense-oracle populations, the JC inversion comparator, or
-a parameter scan, and write a CSV plus a JSON sidecar with the fully
-resolved configuration.  Identical config and package version produce
-byte-identical output files at a fixed BLAS thread count.
+a parameter scan, and write a CSV plus a JSON sidecar holding the config
+as given: validated, defaults not filled in.  With the same package version
+it reproduces the run, byte for byte at a fixed BLAS thread count.
 """
 
 from __future__ import annotations

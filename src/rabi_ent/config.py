@@ -144,10 +144,6 @@ SCHEMA = {
     "output": {"path": Field("string", None)},
 }
 
-# object path -> check(object, keys listed before it in its parent), run on
-# the typed object to test and complete what depends on more than one key
-_CHECKS = {"scan.refine": _complete_refine}
-
 
 def _value(value, field: Field, path: str, siblings: dict):
     if value is None and field.nullable:
@@ -199,8 +195,8 @@ def _walk(value, spec, path: str, siblings: dict | None = None):
             if sub.default is REQUIRED:
                 raise ConfigError(f"{sub_path}: required")
             out[key] = sub.default
-    if path in _CHECKS:
-        _CHECKS[path](out, siblings)
+    if path == "scan.refine":
+        _complete_refine(out, siblings)
     return out
 
 

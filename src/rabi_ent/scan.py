@@ -8,6 +8,7 @@ evaluation order, and box bounds enforced by clamping plus a penalty.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable, Mapping
@@ -143,6 +144,10 @@ def _params_at(point: Mapping[str, float], spec: ScanSpec) -> ModelParams:
     )
 
 
+def _point_objective(point: Mapping[str, float], spec: ScanSpec) -> float:
+    return objective(_params_at(point, spec), spec.horizon, spec.time_points, spec.tail_tol)
+
+
 def grid_scan(spec: ScanSpec) -> ScanResult:
     """Exhaustively evaluate the objective over the requested grid.
 
@@ -155,12 +160,11 @@ def grid_scan(spec: ScanSpec) -> ScanResult:
     ``objective`` raises at the first failing point.
     """
     axes = spec.axis_names
-    grids = [spec.ranges[name].grid() for name in axes]
-    total = int(np.prod([g.size for g in grids])) if grids else 1
+    total = math.prod(spec.ranges[name].steps for name in axes)
     if total > spec.grid_ceiling:
         raise CapacityError(f"grid has {total} points, exceeding ceiling {spec.grid_ceiling}")
-    points = np.array(list(itertools.product(*grids))) if grids else np.zeros((1, 0))
-    named = [{name: float(v) for name, v in zip(axes, row)} for row in points]
+    points = np.array(list(itertools.product(*(spec.ranges[name].grid() for name in axes))))
+    named = [dict(zip(axes, row)) for row in points.tolist()]
     try:
         objectives = _peak_transition_probs(
             [_params_at(point, spec) for point in named],
@@ -171,21 +175,14 @@ def grid_scan(spec: ScanSpec) -> ScanResult:
     except (DomainError, CapacityError):
         failed = True
     if failed:
-        objectives = np.array(
-            [
-                objective(_params_at(point, spec), spec.horizon, spec.time_points, spec.tail_tol)
-                for point in named
-            ]
-        )
+        objectives = np.array([_point_objective(point, spec) for point in named])
     best_idx = int(np.argmin(objectives))
-    best_point = {name: float(v) for name, v in zip(axes, points[best_idx])}
-    best = float(objectives[best_idx])
     return ScanResult(
         axis_names=axes,
         points=points,
         objectives=objectives,
-        best_point=best_point,
-        best_objective=best,
+        best_point=named[best_idx],
+        best_objective=float(objectives[best_idx]),
         metadata={"grid_size": total},
     )
 
@@ -202,17 +199,16 @@ def refine(
 ) -> ScanResult:
     """Simplex descent from a start point; never reports worse than it started.
 
-    The default objective comes from ``spec`` (its fixed values, window, and
-    convention); ``objective_fn`` is a seam for injecting a synthetic
-    objective in tests.  Points outside ``bounds`` are clamped before
-    evaluation and penalized by their clamping distance, so reported points
-    always satisfy the bounds.
+    ``start_point`` names the sweepable parameters searched, ``step_scales``
+    their initial steps.  The default objective comes from ``spec`` (its
+    fixed values, window, and convention); ``objective_fn`` is a seam for
+    injecting a synthetic objective in tests.  Points outside ``bounds`` are
+    clamped before evaluation and penalized by their clamping distance, so
+    reported points always satisfy the bounds.
     """
     if not start_point:
         raise DomainError("start_point must name at least one parameter")
     names = tuple(n for n in SWEEPABLE if n in start_point)
-    if not names:
-        names = tuple(sorted(start_point))
     if set(names) != set(start_point):
         raise DomainError("start_point keys must be sweepable parameter names")
     if set(step_scales) != set(names):
@@ -220,13 +216,7 @@ def refine(
     if objective_fn is None:
         if spec is None:
             raise DomainError("refine needs either a ScanSpec or an objective_fn")
-        if any(n not in SWEEPABLE for n in names):
-            raise DomainError("start_point keys must be sweepable parameter names")
-
-        def objective_fn(point: dict[str, float]) -> float:
-            return objective(
-                _params_at(point, spec), spec.horizon, spec.time_points, spec.tail_tol
-            )
+        objective_fn = functools.partial(_point_objective, spec=spec)
 
     lo = np.array([bounds[n][0] if bounds and n in bounds else -np.inf for n in names])
     hi = np.array([bounds[n][1] if bounds and n in bounds else np.inf for n in names])
@@ -235,20 +225,16 @@ def refine(
         if not a <= x <= b:
             raise StartOutsideBounds(name, f"start {name} = {x} lies outside the box [{a}, {b}]")
 
-    def evaluate(x: np.ndarray) -> tuple[float, float, np.ndarray]:
-        clamped = np.clip(x, lo, hi)
-        base = float(objective_fn({n: float(v) for n, v in zip(names, clamped)}))
-        penalty = _PENALTY_SCALE * float(np.linalg.norm(x - clamped))
-        return base + penalty, base, clamped
-
+    # every clamped point that beats all before it; a NaN never does
     trace: list[tuple[dict[str, float], float]] = []
-    best_base = math.inf
 
-    def record(base: float, clamped: np.ndarray) -> None:
-        nonlocal best_base
-        if base < best_base:
-            best_base = base
-            trace.append(({n: float(v) for n, v in zip(names, clamped)}, base))
+    def evaluate(x: np.ndarray) -> float:
+        clamped = np.clip(x, lo, hi)
+        point = {n: float(v) for n, v in zip(names, clamped)}
+        base = float(objective_fn(point))
+        if base < (trace[-1][1] if trace else math.inf):
+            trace.append((point, base))
+        return base + _PENALTY_SCALE * float(np.linalg.norm(x - clamped))
 
     dim = len(names)
     simplex = [x0]
@@ -260,12 +246,7 @@ def refine(
         else:
             vertex[i] -= step
         simplex.append(vertex)
-    values = []
-    for vertex in simplex:
-        f, base, clamped = evaluate(vertex)
-        record(base, clamped)
-        values.append(f)
-    values = np.array(values)
+    values = np.array([evaluate(vertex) for vertex in simplex])
 
     iterations = 0
     converged = False
@@ -281,32 +262,27 @@ def refine(
         worst = simplex[-1]
 
         reflected = centroid + _NM_REFLECT * (centroid - worst)
-        f_r, base_r, cl_r = evaluate(reflected)
-        record(base_r, cl_r)
+        f_r = evaluate(reflected)
         if values[0] <= f_r < values[-2]:
             simplex[-1], values[-1] = reflected, f_r
             continue
         if f_r < values[0]:
             expanded = centroid + _NM_EXPAND * (centroid - worst)
-            f_e, base_e, cl_e = evaluate(expanded)
-            record(base_e, cl_e)
+            f_e = evaluate(expanded)
             if f_e < f_r:
                 simplex[-1], values[-1] = expanded, f_e
             else:
                 simplex[-1], values[-1] = reflected, f_r
             continue
         contracted = centroid + _NM_CONTRACT * (worst - centroid)
-        f_c, base_c, cl_c = evaluate(contracted)
-        record(base_c, cl_c)
+        f_c = evaluate(contracted)
         if f_c < values[-1]:
             simplex[-1], values[-1] = contracted, f_c
             continue
         best_vertex = simplex[0]
         for i in range(1, dim + 1):
             simplex[i] = best_vertex + _NM_SHRINK * (simplex[i] - best_vertex)
-            f_s, base_s, cl_s = evaluate(simplex[i])
-            record(base_s, cl_s)
-            values[i] = f_s
+            values[i] = evaluate(simplex[i])
 
     best_point, best = trace[-1]
     return ScanResult(
@@ -315,6 +291,6 @@ def refine(
         objectives=np.zeros(0),
         best_point=dict(best_point),
         best_objective=best,
-        trace=tuple((dict(p), v) for p, v in trace),
+        trace=tuple(trace),
         metadata={"iterations": iterations, "converged": converged},
     )

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,22 @@ def test_grid_scan_ceiling():
         grid_scan(spec)
 
 
+def test_grid_scan_ceiling_rejects_before_building_any_axis():
+    spec = ScanSpec(
+        ranges={"beta": AxisRange(0.0, 0.4, 10**7)},
+        fixed={"ratio_r": 0.2, "kappa0": 0.0, "alpha_sq": 9.0},
+        horizon=10.0,
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"^grid has 10000000 points, exceeding ceiling 20000$"):
+            grid_scan(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_kappa_convention_inert_at_zero_kappa():
     kwargs = dict(
         ranges={"beta": AxisRange(0.0, 0.5, 6)},
@@ -184,6 +203,40 @@ def test_refine_rejects_start_outside_bounds():
 def test_refine_requires_an_objective():
     with pytest.raises(DomainError):
         refine({"beta": 0.5}, {"beta": 0.1})
+
+
+@pytest.mark.parametrize(
+    "start, scales, source, message",
+    [
+        ({}, {}, "objective_fn", "start_point must name at least one parameter"),
+        ({"gamma": 0.5}, {"gamma": 0.1}, "spec", "start_point keys must be sweepable"),
+        ({"gamma": 0.5}, {"gamma": 0.1}, "objective_fn", "start_point keys must be sweepable"),
+        ({"beta": 0.5, "alpha_sq": 9.0}, {"beta": 0.1}, "objective_fn", "step_scales must cover"),
+        ({"beta": 0.5}, {"beta": 0.1, "alpha_sq": 1.0}, "objective_fn", "step_scales must cover"),
+    ],
+    ids=["empty-start", "unsweepable-spec", "unsweepable-objective_fn", "scale-missing", "scale-extra"],
+)
+def test_refine_rejects_malformed_input(start, scales, source, message):
+    sources = {
+        "spec": ScanSpec(ranges={}, fixed={"beta": 0.4, **FIG3_FIXED}, horizon=10.0),
+        "objective_fn": lambda point: 0.0,
+    }
+    with pytest.raises(DomainError, match=message):
+        refine(start, scales, **{source: sources[source]})
+
+
+def test_refine_keeps_a_nan_objective_out_of_the_trace():
+    seen = []
+
+    def nan_first(point):
+        seen.append(point["beta"])
+        return math.nan if len(seen) == 1 else (point["beta"] - 0.1) ** 2
+
+    result = refine({"beta": 0.8}, {"beta": 0.1}, max_iters=50, ftol=1e-12, objective_fn=nan_first)
+    values = [v for _, v in result.trace]
+    assert all(map(math.isfinite, values))
+    assert result.trace[0] == ({"beta": seen[1]}, (seen[1] - 0.1) ** 2)
+    assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_refine_descent_contract_on_model_objective():
