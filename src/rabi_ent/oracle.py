@@ -12,13 +12,12 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
 from .dynamics import TimeSeries, _as_times, _phase_blocks
 from .errors import CapacityError, DomainError, TruncationWarning
-from .params import ModelParams, SpinState, effective_kappa
+from .params import ModelParams, SpinState, _is_integer, effective_kappa
 from .specialfn import poisson_logpmf
 
 SPIN_DIM = 4
@@ -85,14 +84,16 @@ class HamiltonianVariant(Enum):
 
 @dataclass(frozen=True)
 class EDConfig:
-    """Truncation and variant switches for the dense oracle."""
+    """Truncation and variant switches for the dense oracle.  ``dim_ceiling`` bounds the
+    dimension 4 * (n_max + 1) of the requested cutoff; the truncation re-run is not held to it.
+    """
 
     n_max: int
     variant: HamiltonianVariant = HamiltonianVariant.HALF_SUM
     dim_ceiling: int = 8192
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_max, bool) or int(self.n_max) != self.n_max:
+        if not _is_integer(self.n_max):
             raise DomainError(f"n_max must be an integer, got {self.n_max!r}")
         object.__setattr__(self, "n_max", int(self.n_max))
         if self.n_max < 0:
@@ -149,11 +150,10 @@ def build_hamiltonian(params: ModelParams, config: EDConfig) -> np.ndarray:
     number_op = np.diag(np.arange(float(n_osc)))
     position = ladder + ladder.T
     sector_op = _SZ_HALF if config.variant is HamiltonianVariant.HALF_SUM else 2.0 * _SZ_HALF
-    omega = params.omega
-    h = omega * np.kron(np.eye(SPIN_DIM), number_op)
-    h += omega * params.beta * np.kron(sector_op, position)
-    h -= 0.5 * params.ratio_r * omega * np.kron(_SX_SUM, eye_osc)
-    h -= effective_kappa(params) * omega * np.kron(_SX_PROD, eye_osc)
+    h = np.kron(np.eye(SPIN_DIM), number_op)
+    h += params.beta * np.kron(sector_op, position)
+    h -= 0.5 * params.ratio_r * np.kron(_SX_SUM, eye_osc)
+    h -= effective_kappa(params) * np.kron(_SX_PROD, eye_osc)
     return h
 
 
@@ -162,8 +162,9 @@ def _parity_signs(n_osc: int, parity: int) -> np.ndarray:
     return np.where((np.arange(n_osc) + parity) % 2 == 0, 1.0, -1.0)
 
 
-def _parity_block(params: ModelParams, config: EDConfig, parity: int) -> np.ndarray:
-    """The triplet part of ``build_hamiltonian`` with parity (-1)^parity.
+def _parity_block(params: ModelParams, config: EDConfig, parity: int):
+    """The triplet part of ``build_hamiltonian`` with parity (-1)^parity: the dense block
+    h and ``v -> h @ v`` from h's at most three nonzeros per row, O(dim) per column.
 
     The parity swap(|1,1>, |1,-1>) (x) (-1)^(a^dag a) commutes with H.  The
     block's basis is s_n = (|1,1>|n> + e_n |1,-1>|n>)/sqrt(2) for n = 0..n_max,
@@ -173,27 +174,23 @@ def _parity_block(params: ModelParams, config: EDConfig, parity: int) -> np.ndar
     n_osc = config.n_max + 1
     ms = np.arange(parity, n_osc, 2)
     coupling = params.beta if config.variant is HamiltonianVariant.HALF_SUM else 2.0 * params.beta
-    omega, kappa = params.omega, effective_kappa(params)
-    h = np.zeros((n_osc + ms.size, n_osc + ms.size))
+    kappa = effective_kappa(params)
     s, t = np.arange(n_osc), n_osc + np.arange(ms.size)
-    h[s, s] = omega * (s - kappa * _parity_signs(n_osc, parity))
-    h[s[:-1], s[1:]] = h[s[1:], s[:-1]] = omega * coupling * np.sqrt(s[1:])
-    h[t, t] = omega * (ms - kappa)
-    h[ms, t] = h[t, ms] = -params.ratio_r * omega
-    return h
+    diag = np.concatenate([s - kappa * _parity_signs(n_osc, parity), ms - kappa])
+    off = coupling * np.sqrt(s[1:])
+    h = np.diag(diag)
+    h[s[:-1], s[1:]] = h[s[1:], s[:-1]] = off
+    h[ms, t] = h[t, ms] = -params.ratio_r
 
+    def product(v: np.ndarray) -> np.ndarray:
+        hv = diag[:, None] * v
+        hv[: n_osc - 1] += off[:, None] * v[1:n_osc]
+        hv[1:n_osc] += off[:, None] * v[: n_osc - 1]
+        hv[ms] -= params.ratio_r * v[t]
+        hv[t] -= params.ratio_r * v[ms]
+        return hv
 
-def _parity_block_product(h: np.ndarray, n_osc: int, parity: int, v: np.ndarray) -> np.ndarray:
-    """``h @ v`` for a parity block from its at most three nonzeros per row: O(dim) per column."""
-    ms = np.arange(parity, n_osc, 2)
-    t = n_osc + np.arange(ms.size)
-    off, coupling = np.diagonal(h, 1)[: n_osc - 1, None], h[ms, t][:, None]
-    hv = np.diagonal(h)[:, None] * v
-    hv[: n_osc - 1] += off * v[1:n_osc]
-    hv[1:n_osc] += off * v[: n_osc - 1]
-    hv[ms] += coupling * v[t]
-    hv[t] += coupling * v[ms]
-    return hv
+    return h, product
 
 
 def _checked_eigh(h: np.ndarray, product) -> tuple[np.ndarray, np.ndarray]:
@@ -271,8 +268,7 @@ def _initial_vector(
     initial_spin: SpinState,
     initial_fock: int | None,
 ) -> np.ndarray:
-    n_osc = config.n_max + 1
-    psi0 = np.zeros(SPIN_DIM * n_osc)
+    psi0 = np.zeros((SPIN_DIM, config.n_max + 1))
     sector = _SPIN_INDEX[initial_spin]
     if initial_fock is None:
         if config.n_max < required_n_max(params.alpha_sq):
@@ -286,16 +282,16 @@ def _initial_vector(
             raise DomainError(
                 f"truncated coherent-state norm {norm:.15f} below 1 - 1e-12"
             )
-        psi0[sector * n_osc : (sector + 1) * n_osc] = amps
+        psi0[sector] = amps
     else:
-        if isinstance(initial_fock, bool) or int(initial_fock) != initial_fock:
+        if not _is_integer(initial_fock):
             raise DomainError(f"initial_fock must be an integer, got {initial_fock!r}")
         initial_fock = int(initial_fock)
         if not 0 <= initial_fock <= config.n_max:
             raise DomainError(
                 f"initial_fock={initial_fock} outside the truncated space [0, {config.n_max}]"
             )
-        psi0[sector * n_osc + initial_fock] = 1.0
+        psi0[sector, initial_fock] = 1.0
     return psi0
 
 
@@ -328,12 +324,11 @@ def _evolve_amplitudes(
     are its s_n rows, and its |1,0>|m> rows, outside the span of those whose bound
     sum_j |V_nj| |c_j| over the rest reaches PRUNE_BOUND: no amplitude moves by more
     than 2 * PRUNE_BOUND.  The rest evolves by two real products per block of times;
-    the |0,0> sector has energies omega*(n + k_eff) and needs none.
+    the |0,0> sector has energies n + k_eff and needs none.
     """
-    _check_capacity(config)
     n_osc = config.n_max + 1
-    psi0 = _initial_vector(params, config, initial_spin, initial_fock).reshape(SPIN_DIM, n_osc)
-    spectra = [params.omega * (np.arange(n_osc) + effective_kappa(params))]
+    psi0 = _initial_vector(params, config, initial_spin, initial_fock)
+    spectra = [np.arange(n_osc) + effective_kappa(params)]
     re, im = np.zeros((2, times.size, SPIN_DIM, n_osc))
     for start, cos, sin in _phase_blocks(-spectra[0], times) if psi0[3].any() else ():
         rows = slice(start, start + len(cos))
@@ -341,8 +336,7 @@ def _evolve_amplitudes(
     for parity in (0, 1):
         signs = _parity_signs(n_osc, parity)
         psi = np.concatenate([(psi0[0] + signs * psi0[1]) * _SQRT_HALF, psi0[2, parity::2]])
-        h = _parity_block(params, config, parity)
-        evals, evecs = _checked_eigh(h, partial(_parity_block_product, h, n_osc, parity))
+        evals, evecs = _checked_eigh(*_parity_block(params, config, parity))
         spectra.append(evals)
         coeff = evecs.T @ psi
         kept = _kept(np.abs(coeff))
@@ -390,6 +384,7 @@ def evolve(
     amplitude by more than 2 * PRUNE_BOUND.
     """
     times = _as_times(times)
+    _check_capacity(config)
     evals, re, im = _evolve_amplitudes(params, config, times, initial_spin, initial_fock)
     pops = _populations(re, im)
     channels = dict(zip(("P11", "P1m1", "P10", "P00"), pops))
@@ -404,11 +399,7 @@ def evolve(
     del re, im, re_t, im_t  # freed before the larger re-run allocates its own
     truncation_error = None
     if compute_truncation_error:
-        bigger = replace(
-            config,
-            n_max=config.n_max + TRUNCATION_MARGIN,
-            dim_ceiling=config.dim_ceiling + SPIN_DIM * TRUNCATION_MARGIN,
-        )
+        bigger = replace(config, n_max=config.n_max + TRUNCATION_MARGIN)
         pops_big = _populations(
             *_evolve_amplitudes(params, bigger, times, initial_spin, initial_fock)[1:]
         )

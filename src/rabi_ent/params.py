@@ -1,17 +1,25 @@
 """Physical parameter set, unit conventions, and the two-qubit composite basis.
 
 Everything downstream works in oscillator units: energies are reported in
-units of h*omega and times in units of 1/omega, so ``omega`` is pinned to 1.
+units of h*omega and times in units of 1/omega, so omega is 1 by construction.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import AdiabaticRegimeWarning, DomainError
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int, a numpy int or a finite integral float, and no bool."""
+    if isinstance(value, numbers.Integral):
+        return not isinstance(value, bool)
+    return isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
 
 
 class KappaConvention(Enum):
@@ -54,10 +62,9 @@ class ModelParams:
     kappa0: float = 0.0
     alpha_sq: float = 0.0
     kappa_convention: KappaConvention = KappaConvention.OMEGA0_SCALED
-    omega: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("ratio_r", "beta", "kappa0", "alpha_sq", "omega"):
+        for name in ("ratio_r", "beta", "kappa0", "alpha_sq"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise DomainError(f"{name} must be a real number, got {value!r}")
@@ -65,10 +72,6 @@ class ModelParams:
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
-        if self.omega != 1.0:
-            raise DomainError(
-                "omega is fixed to 1: energies are in units of h*omega, times in 1/omega"
-            )
         if self.alpha_sq < 0.0:
             raise DomainError(f"alpha_sq must be >= 0, got {self.alpha_sq}")
         if not isinstance(self.kappa_convention, KappaConvention):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .params import KappaConvention, ModelParams
+from .params import KappaConvention, ModelParams, _is_integer
 from .specialfn import DEFAULT_TAIL_TOL
 from .dynamics import _peak_transition_probs, transition_prob
 
@@ -43,7 +43,7 @@ class AxisRange:
             raise DomainError("axis range endpoints must be finite")
         if self.max < self.min:
             raise DomainError(f"axis range has max {self.max} < min {self.min}")
-        if int(self.steps) != self.steps or self.steps < 2:
+        if not _is_integer(self.steps) or self.steps < 2:
             raise DomainError(f"steps must be an integer >= 2, got {self.steps}")
         object.__setattr__(self, "steps", int(self.steps))
 
@@ -82,7 +82,7 @@ class ScanSpec:
             raise DomainError(f"parameters both swept and fixed: {doubled}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise DomainError(f"horizon must be > 0, got {self.horizon}")
-        if int(self.time_points) != self.time_points or self.time_points < 2:
+        if not _is_integer(self.time_points) or self.time_points < 2:
             raise DomainError(f"time_points must be an integer >= 2, got {self.time_points}")
         object.__setattr__(self, "time_points", int(self.time_points))
 
@@ -284,6 +284,8 @@ def refine(
             simplex[i] = best_vertex + _NM_SHRINK * (simplex[i] - best_vertex)
             values[i] = evaluate(simplex[i])
 
+    if not trace:
+        raise DomainError("no evaluated point had a finite objective")
     best_point, best = trace[-1]
     return ScanResult(
         axis_names=names,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .params import ModelParams, effective_kappa
+from .params import ModelParams, _is_integer, effective_kappa
 from .specialfn import laguerre_sequence
 
 _SQRT2 = math.sqrt(2.0)
@@ -126,7 +126,7 @@ def aa_rows(params: ModelParams, n_max: int, n_min: int = 0) -> list[AASpectrumR
 
 def aa_row(N: int, params: ModelParams) -> AASpectrumRow:
     """Spectrum row for a single photon number."""
-    if isinstance(N, bool) or N != int(N):
+    if not _is_integer(N):
         raise DomainError(f"N must be a nonnegative integer, got {N!r}")
     N = int(N)
     if N < 0:

@@ -93,6 +93,15 @@ def test_hamiltonian_symmetric_and_capacity():
     assert build_hamiltonian(params, EDConfig(n_max=100, dim_ceiling=500)).shape == (404, 404)
 
 
+def test_evolve_capacity_bounds_the_requested_cutoff_not_the_rerun():
+    params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1)
+    n = required_n_max(params.alpha_sq)
+    result = evolve(params, EDConfig(n_max=n, dim_ceiling=4 * (n + 1)), [0.0, 1.0])
+    assert result.truncation_error is not None
+    with pytest.raises(CapacityError):
+        evolve(params, EDConfig(n_max=n, dim_ceiling=4 * (n + 1) - 1), [0.0, 1.0])
+
+
 def test_eigendecompose_two_by_two():
     evals, evecs = eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert evals == pytest.approx([-1.0, 1.0], abs=1e-15)
@@ -413,7 +422,7 @@ def test_parity_blocks_are_projections_of_the_full_hamiltonian(variant, n_max):
     assert np.all(even[0].T @ h @ odd[0] == 0.0)
     for parity, (basis, scale) in enumerate((even, odd)):
         projector = basis * scale
-        block = _parity_block(PARITY_PARAMS, config, parity)
+        block, _ = _parity_block(PARITY_PARAMS, config, parity)
         assert block.shape == (projector.shape[1],) * 2
         assert np.abs(block - projector.T @ h @ projector).max() <= 1e-14 * norm
 
@@ -491,15 +500,14 @@ def test_concurrence_of_a_stack_matches_each_matrix():
 @pytest.mark.parametrize("variant", list(HamiltonianVariant))
 @pytest.mark.parametrize("n_max", [0, 1, 12, 13])
 def test_parity_block_product_is_the_dense_product(variant, n_max):
-    from rabi_ent.oracle import _parity_block, _parity_block_product
+    from rabi_ent.oracle import _parity_block
 
     config = EDConfig(n_max=n_max, variant=variant)
     rng = np.random.default_rng(n_max)
     for parity in (0, 1):
-        h = _parity_block(PARITY_PARAMS, config, parity)
+        h, product = _parity_block(PARITY_PARAMS, config, parity)
         v = rng.standard_normal((h.shape[0], 7))
-        product = _parity_block_product(h, n_max + 1, parity, v)
-        assert np.abs(product - h @ v).max() <= 1e-14 * np.abs(h).sum(axis=1).max()
+        assert np.abs(product(v) - h @ v).max() <= 1e-14 * np.abs(h).sum(axis=1).max()
 
 
 # alpha_sq = 9 with a cutoff well past its required 41: the coherent tail, and

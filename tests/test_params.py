@@ -1,15 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 
 from rabi_ent import (
     AdiabaticRegimeWarning,
+    AxisRange,
     DomainError,
+    EDConfig,
     KappaConvention,
     ModelParams,
+    ScanSpec,
     SpinState,
     aa_row,
     effective_kappa,
+    evolve,
 )
 
 
@@ -69,7 +74,7 @@ def test_invalid_numbers_rejected(field, value):
 
 
 def test_omega_is_pinned_to_one():
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):
         make(omega=2.0)
 
 
@@ -93,3 +98,47 @@ def test_spin_state_labels():
     assert SpinState.J0M0.value == "0,0"
     assert SpinState.J1M1.value == "1,1"
     assert SpinState.J1M_MINUS1.value == "1,-1"
+
+
+# the public integer inputs checked by params._is_integer, with the message each raises
+INTEGER_SITES = {
+    "AxisRange.steps": (
+        lambda x: AxisRange(min=0.0, max=1.0, steps=x),
+        "steps must be an integer",
+    ),
+    "ScanSpec.time_points": (
+        lambda x: ScanSpec(
+            ranges={},
+            fixed={"ratio_r": 0.2, "beta": 0.3, "kappa0": 0.0, "alpha_sq": 1.0},
+            horizon=1.0,
+            time_points=x,
+        ),
+        "time_points must be an integer",
+    ),
+    "EDConfig.n_max": (lambda x: EDConfig(n_max=x), "n_max must be an integer"),
+    "evolve.initial_fock": (
+        lambda x: evolve(
+            make(), EDConfig(n_max=4), [0.0], initial_fock=x, compute_truncation_error=False
+        ),
+        "initial_fock must be an integer",
+    ),
+    "aa_row.N": (lambda x: aa_row(x, make()), "N must be a nonnegative integer"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("site", list(INTEGER_SITES))
+def test_integer_inputs_reject_non_finite_values(site, value):
+    build, message = INTEGER_SITES[site]
+    with pytest.raises(DomainError, match=message):
+        build(value)
+
+
+@pytest.mark.parametrize("site", list(INTEGER_SITES))
+def test_integer_inputs_accept_integral_values_and_reject_bools_and_strings(site):
+    build, message = INTEGER_SITES[site]
+    for value in (3, np.int64(3), 3.0, np.float64(3.0)):
+        build(value)
+    for value in (True, np.True_, "3", 2.5):
+        with pytest.raises(DomainError, match=message):
+            build(value)

@@ -239,6 +239,11 @@ def test_refine_keeps_a_nan_objective_out_of_the_trace():
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
+def test_refine_with_no_finite_objective_raises_domain_error():
+    with pytest.raises(DomainError, match="no evaluated point had a finite objective"):
+        refine({"beta": 0.5}, {"beta": 0.1}, max_iters=5, objective_fn=lambda point: math.nan)
+
+
 def test_refine_descent_contract_on_model_objective():
     spec = ScanSpec(
         ranges={"beta": AxisRange(0.3, 0.5, 2)},
