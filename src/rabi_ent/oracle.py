@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .dynamics import TimeSeries, _as_times, _phase_blocks
+from .dynamics import _PHASE_BLOCK, TimeSeries, _as_times, _phase_blocks
 from .errors import CapacityError, DomainError, TruncationWarning
 from .params import ModelParams, SpinState, _is_integer, effective_kappa
 from .specialfn import poisson_logpmf
@@ -112,9 +113,9 @@ class EDResult:
 
     ``truncation_error`` is the sup-norm change of the population channels
     when n_max grows by TRUNCATION_MARGIN; None when the check was skipped.
-    ``states`` optionally carries the evolved vectors, one column per time;
-    the entries that evolution skips as out of reach of the initial state
-    (see PRUNE_BOUND) are exact zeros.
+    ``states`` carries the evolved vectors, one column per time, only when
+    ``evolve`` was asked to keep them; the entries that evolution skips as out
+    of reach of the initial state (see PRUNE_BOUND) are exact zeros.
     """
 
     eigenvalues: np.ndarray
@@ -309,30 +310,30 @@ def _span(mask: np.ndarray) -> slice:
     return slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
 
 
-def _evolve_amplitudes(
+def _evolution(
     params: ModelParams,
     config: EDConfig,
     times: np.ndarray,
     initial_spin: SpinState,
     initial_fock: int | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The full sorted spectrum and the sector amplitudes' real and imaginary parts,
-    each of shape (T, 4, n_osc).
+) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray]]]:
+    """The full sorted spectrum, and the sector amplitudes' real and imaginary parts as
+    (start, re, im) for times[start : start + rows], one block of at most _PHASE_BLOCK
+    rows at a time, re and im of shape (rows, 4, n_osc).
 
     Each parity block is diagonalized on its own.  Its eigencomponents of least
     |c| = |<v|psi0>| are left out while their summed |c| stays <= PRUNE_BOUND, and so
     are its s_n rows, and its |1,0>|m> rows, outside the span of those whose bound
     sum_j |V_nj| |c_j| over the rest reaches PRUNE_BOUND: no amplitude moves by more
     than 2 * PRUNE_BOUND.  The rest evolves by two real products per block of times;
-    the |0,0> sector has energies n + k_eff and needs none.
+    the |0,0> sector has energies n + k_eff and needs none.  Every block is written
+    into the same two buffers: a block is valid until the next one is drawn.
     """
     n_osc = config.n_max + 1
     psi0 = _initial_vector(params, config, initial_spin, initial_fock)
     spectra = [np.arange(n_osc) + effective_kappa(params)]
-    re, im = np.zeros((2, times.size, SPIN_DIM, n_osc))
-    for start, cos, sin in _phase_blocks(-spectra[0], times) if psi0[3].any() else ():
-        rows = slice(start, start + len(cos))
-        re[rows, 3], im[rows, 3] = cos * psi0[3], sin * psi0[3]
+    singlet = _phase_blocks(-spectra[0], times) if psi0[3].any() else None
+    parts = []
     for parity in (0, 1):
         signs = _parity_signs(n_osc, parity)
         psi = np.concatenate([(psi0[0] + signs * psi0[1]) * _SQRT_HALF, psi0[2, parity::2]])
@@ -346,17 +347,30 @@ def _evolve_amplitudes(
         weights *= coeff[kept, None]
         split = fock.stop - fock.start
         m_rows = slice(parity + 2 * ms.start, parity + 2 * ms.stop, 2)
-        for start, cos, sin in _phase_blocks(-evals[kept], times) if weights.size else ():
-            rows = slice(start, start + len(cos))
-            for out, part in ((re, cos @ weights), (im, sin @ weights)):
-                # s_n of both blocks combine into |1,1>|n> and, with sign e_n, |1,-1>|n>
-                out[rows, 0, fock] += part[:, :split]
-                out[rows, 1, fock] += (1 - 2 * parity) * part[:, :split]
-                out[rows, 2, m_rows] = part[:, split:]
+        # with no weights the spans are empty and a block writes nothing
+        parts.append((_phase_blocks(-evals[kept], times), weights, parity, fock, split, m_rows))
     scale = np.array([np.ones(n_osc), _parity_signs(n_osc, 0)]) * _SQRT_HALF
-    re[:, :2] *= scale
-    im[:, :2] *= scale
-    return np.sort(np.concatenate(spectra)), re, im
+    buffers = np.empty((2, min(times.size, _PHASE_BLOCK), SPIN_DIM, n_osc))
+
+    def blocks():
+        for start in range(0, times.size, _PHASE_BLOCK):
+            re, im = buffers[:, : min(_PHASE_BLOCK, times.size - start)]
+            re[:], im[:] = 0.0, 0.0
+            if singlet is not None:
+                _, cos, sin = next(singlet)
+                re[:, 3], im[:, 3] = cos * psi0[3], sin * psi0[3]
+            for phases, weights, parity, fock, split, m_rows in parts:
+                _, cos, sin = next(phases)
+                for out, part in ((re, cos @ weights), (im, sin @ weights)):
+                    # s_n of both blocks combine into |1,1>|n> and, with sign e_n, |1,-1>|n>
+                    out[:, 0, fock] += part[:, :split]
+                    out[:, 1, fock] += (1 - 2 * parity) * part[:, :split]
+                    out[:, 2, m_rows] = part[:, split:]
+            re[:, :2] *= scale
+            im[:, :2] *= scale
+            yield start, re, im
+
+    return np.sort(np.concatenate(spectra)), blocks()
 
 
 def _populations(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -381,28 +395,34 @@ def evolve(
     up to the Fock truncation, whose effect is measured by re-running with
     n_max + 20 unless ``compute_truncation_error`` is off, and up to the
     eigencomponents and rows left out as below PRUNE_BOUND, which move no
-    amplitude by more than 2 * PRUNE_BOUND.
+    amplitude by more than 2 * PRUNE_BOUND.  Each block of _PHASE_BLOCK times is reduced
+    before the next is evolved: per time, only the populations, one 4x4 density matrix
+    and, with ``keep_states``, the state are held.
     """
     times = _as_times(times)
     _check_capacity(config)
-    evals, re, im = _evolve_amplitudes(params, config, times, initial_spin, initial_fock)
-    pops = _populations(re, im)
-    channels = dict(zip(("P11", "P1m1", "P10", "P00"), pops))
-    re_t, im_t = re.swapaxes(1, 2), im.swapaxes(1, 2)
+    evals, blocks = _evolution(params, config, times, initial_spin, initial_fock)
+    pops = np.empty((SPIN_DIM, times.size))
     rho = np.empty((times.size, SPIN_DIM, SPIN_DIM), dtype=complex)
-    rho.real, rho.imag = re @ re_t + im @ im_t, im @ re_t - re @ im_t
+    states = np.empty((SPIN_DIM, config.n_max + 1, times.size), complex) if keep_states else None
+    for start, re, im in blocks:
+        rows = slice(start, start + len(re))
+        pops[:, rows] = _populations(re, im)
+        re_t, im_t = re.swapaxes(1, 2), im.swapaxes(1, 2)
+        rho[rows].real, rho[rows].imag = re @ re_t + im @ im_t, im @ re_t - re @ im_t
+        if keep_states:
+            states[..., rows] = (re + 1j * im).transpose(1, 2, 0)
+    channels = dict(zip(("P11", "P1m1", "P10", "P00"), pops))
     rho = _COMPOSITE_TO_PRODUCT @ rho @ _COMPOSITE_TO_PRODUCT.T
     # renormalize away the coherent-state truncation deficit (~1e-24)
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     conc = concurrence(rho)
-    states = (re + 1j * im).transpose(1, 2, 0).reshape(-1, times.size) if keep_states else None
-    del re, im, re_t, im_t  # freed before the larger re-run allocates its own
     truncation_error = None
     if compute_truncation_error:
         bigger = replace(config, n_max=config.n_max + TRUNCATION_MARGIN)
-        pops_big = _populations(
-            *_evolve_amplitudes(params, bigger, times, initial_spin, initial_fock)[1:]
-        )
+        pops_big = np.empty_like(pops)
+        for start, re, im in _evolution(params, bigger, times, initial_spin, initial_fock)[1]:
+            pops_big[:, start : start + len(re)] = _populations(re, im)
         truncation_error = float(np.abs(pops - pops_big).max())
         if truncation_error > 1e-6:
             warnings.warn(
@@ -416,5 +436,5 @@ def evolve(
         populations=TimeSeries(times=times, channels=channels),
         concurrence=TimeSeries(times=times, channels={"C": conc}),
         truncation_error=truncation_error,
-        states=states,
+        states=None if states is None else states.reshape(-1, times.size),
     )

@@ -66,7 +66,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("ratio_r", "beta", "kappa0", "alpha_sq"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DomainError(f"{name} must be a real number, got {value!r}")
             value = float(value)
             if not math.isfinite(value):

@@ -80,11 +80,7 @@ class ScanSpec:
         doubled = sorted(set(ranges) & set(fixed))
         if doubled:
             raise DomainError(f"parameters both swept and fixed: {doubled}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise DomainError(f"horizon must be > 0, got {self.horizon}")
-        if not _is_integer(self.time_points) or self.time_points < 2:
-            raise DomainError(f"time_points must be an integer >= 2, got {self.time_points}")
-        object.__setattr__(self, "time_points", int(self.time_points))
+        object.__setattr__(self, "time_points", _window_size(self.horizon, self.time_points))
 
     @property
     def axis_names(self) -> tuple[str, ...]:
@@ -112,13 +108,13 @@ class StartOutsideBounds(DomainError):
         self.axis = axis
 
 
-def _window(horizon: float, time_points: int) -> np.ndarray:
-    """The objective's uniform time grid on [0, horizon]."""
+def _window_size(horizon: float, time_points: int) -> int:
+    """``time_points`` as an int, once the objective window on [0, horizon] checks out."""
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise DomainError(f"horizon must be > 0, got {horizon}")
-    if time_points < 2:
-        raise DomainError(f"time_points must be >= 2, got {time_points}")
-    return np.linspace(0.0, horizon, int(time_points))
+    if not _is_integer(time_points) or time_points < 2:
+        raise DomainError(f"time_points must be an integer >= 2, got {time_points}")
+    return int(time_points)
 
 
 def objective(
@@ -128,7 +124,8 @@ def objective(
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> float:
     """Worst-case transition probability over a uniform grid on [0, horizon]."""
-    series = transition_prob(params, _window(horizon, time_points), tail_tol)
+    times = np.linspace(0.0, horizon, _window_size(horizon, time_points))
+    series = transition_prob(params, times, tail_tol)
     return float(series.channels["T"].max())
 
 
@@ -168,7 +165,7 @@ def grid_scan(spec: ScanSpec) -> ScanResult:
     try:
         objectives = _peak_transition_probs(
             [_params_at(point, spec) for point in named],
-            _window(spec.horizon, spec.time_points),
+            np.linspace(0.0, spec.horizon, spec.time_points),
             spec.tail_tol,
         )
         failed = not np.all(np.isfinite(objectives))
@@ -208,6 +205,8 @@ def refine(
     """
     if not start_point:
         raise DomainError("start_point must name at least one parameter")
+    if not _is_integer(max_iters):
+        raise DomainError(f"max_iters must be an integer, got {max_iters!r}")
     names = tuple(n for n in SWEEPABLE if n in start_point)
     if set(names) != set(start_point):
         raise DomainError("start_point keys must be sweepable parameter names")
@@ -250,7 +249,7 @@ def refine(
 
     iterations = 0
     converged = False
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, int(max_iters) + 1):
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
         values = values[order]

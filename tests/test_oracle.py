@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -459,30 +460,49 @@ def _dense_states(params, config, times, spin, initial_fock):
 @pytest.mark.parametrize("initial_fock", [None, 5])
 @pytest.mark.parametrize("spin", list(SpinState))
 def test_evolve_matches_full_space_dense_evolution(spin, initial_fock):
+    # beside 31 times: 1 time, an exact block, a one-row tail block, several blocks
     config = EDConfig(n_max=17)
     n_osc = config.n_max + 1
-    times = np.linspace(0.0, 60.0, 31)
-    result = evolve(
-        PARITY_PARAMS,
-        config,
-        times,
-        initial_spin=spin,
-        initial_fock=initial_fock,
-        compute_truncation_error=False,
-        keep_states=True,
-    )
-    states = _dense_states(PARITY_PARAMS, config, times, spin, initial_fock)
-    assert result.states.shape == states.shape
-    assert np.abs(result.states - states).max() <= 1e-10
-    sectors = states.reshape(4, n_osc, times.size)
-    pops = np.sum(np.abs(sectors) ** 2, axis=1)
-    for row, name in enumerate(("P11", "P1m1", "P10", "P00")):
-        assert np.abs(result.populations.channels[name] - pops[row]).max() <= 1e-10
-    for j in range(times.size):
-        rho = COMPOSITE_IN_PRODUCT @ (sectors[:, :, j] @ sectors[:, :, j].conj().T)
-        rho = rho @ COMPOSITE_IN_PRODUCT.T
-        expected = _wootters(rho / np.trace(rho).real)
-        assert result.concurrence.channels["C"][j] == pytest.approx(expected, abs=1e-10)
+    for size in (31, 1, 128, 129, 300):
+        times = np.linspace(0.0, 60.0, size)
+        result = evolve(
+            PARITY_PARAMS,
+            config,
+            times,
+            initial_spin=spin,
+            initial_fock=initial_fock,
+            compute_truncation_error=False,
+            keep_states=True,
+        )
+        states = _dense_states(PARITY_PARAMS, config, times, spin, initial_fock)
+        assert result.states.shape == states.shape
+        assert np.abs(result.states - states).max() <= 1e-10
+        sectors = states.reshape(4, n_osc, times.size)
+        pops = np.sum(np.abs(sectors) ** 2, axis=1)
+        for row, name in enumerate(("P11", "P1m1", "P10", "P00")):
+            assert np.abs(result.populations.channels[name] - pops[row]).max() <= 1e-10
+        for j in range(times.size):
+            rho = COMPOSITE_IN_PRODUCT @ (sectors[:, :, j] @ sectors[:, :, j].conj().T)
+            rho = rho @ COMPOSITE_IN_PRODUCT.T
+            expected = _wootters(rho / np.trace(rho).real)
+            assert result.concurrence.channels["C"][j] == pytest.approx(expected, abs=1e-10)
+
+
+def test_evolve_memory_does_not_grow_with_time_points():
+    # less than one real (4, n_osc) amplitude row, 4 * 201 * 8 = 6,432 bytes, per added
+    # time: amplitudes held for the whole grid grew the peak by about 14.5 kB per time
+    params = ModelParams(ratio_r=0.2, beta=0.4717, kappa0=-0.7, alpha_sq=16.0)
+    config = EDConfig(n_max=200)
+    peaks = []
+    for size in (200, 1000):
+        times = np.linspace(0.0, 400.0, size)
+        tracemalloc.start()
+        try:
+            evolve(params, config, times)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 800 < 4 * (config.n_max + 1) * 8
 
 
 def test_concurrence_of_a_stack_matches_each_matrix():

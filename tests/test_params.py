@@ -15,6 +15,8 @@ from rabi_ent import (
     aa_row,
     effective_kappa,
     evolve,
+    objective,
+    refine,
 )
 
 
@@ -73,6 +75,21 @@ def test_invalid_numbers_rejected(field, value):
         make(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "value", [np.int64(0), np.float32(0.2), np.float64(0.2)], ids=["int64", "float32", "float64"]
+)
+def test_numpy_real_scalars_accepted(value):
+    params = ModelParams(ratio_r=np.float32(0.2), beta=value)
+    assert type(params.beta) is float and params.beta == float(value)
+    assert type(params.ratio_r) is float and params.ratio_r == float(np.float32(0.2))
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
+def test_bools_rejected_as_real_numbers(value):
+    with pytest.raises(DomainError, match="beta must be a real number"):
+        make(beta=value)
+
+
 def test_omega_is_pinned_to_one():
     with pytest.raises(TypeError):
         make(omega=2.0)
@@ -123,6 +140,16 @@ INTEGER_SITES = {
         "initial_fock must be an integer",
     ),
     "aa_row.N": (lambda x: aa_row(x, make()), "N must be a nonnegative integer"),
+    "objective.time_points": (
+        lambda x: objective(make(), 10.0, time_points=x),
+        "time_points must be an integer",
+    ),
+    "refine.max_iters": (
+        lambda x: refine(
+            {"beta": 0.5}, {"beta": 0.1}, max_iters=x, objective_fn=lambda p: p["beta"] ** 2
+        ),
+        "max_iters must be an integer",
+    ),
 }
 
 
