@@ -7,14 +7,13 @@ for the collapse-and-revival contrast.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .params import ModelParams
+from .params import ModelParams, _is_real
 from .specialfn import DEFAULT_TAIL_TOL, LogWeightTable, poisson_logweights
 from .spectrum import aa_columns, aa_row
 
@@ -218,12 +217,11 @@ def jc_inversion(
     dimensionally inconsistent legacy expression Om_N = delta^2 + 4 g (N+1)
     is used verbatim for comparison.
     """
-    delta = float(delta)
-    g = float(g)
-    if not math.isfinite(delta):
-        raise DomainError(f"delta must be finite, got {delta}")
-    if not math.isfinite(g) or g <= 0.0:
-        raise DomainError(f"g must be finite and > 0, got {g}")
+    if not _is_real(delta):
+        raise DomainError(f"delta must be a real number, got {delta!r}")
+    if not (_is_real(g) and g > 0.0):
+        raise DomainError(f"g must be a real number > 0, got {g!r}")
+    delta, g = float(delta), float(g)
     times = _as_times(times)
     table = poisson_logweights(alpha_sq, tail_tol)
     p = table.masses()

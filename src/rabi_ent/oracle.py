@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import _PHASE_BLOCK, TimeSeries, _as_times, _phase_blocks
 from .errors import CapacityError, DomainError, TruncationWarning
-from .params import ModelParams, SpinState, _is_integer, effective_kappa
+from .params import ModelParams, SpinState, _is_integer, _is_real, effective_kappa
 from .specialfn import poisson_logpmf
 
 SPIN_DIM = 4
@@ -94,11 +94,12 @@ class EDConfig:
     dim_ceiling: int = 8192
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.n_max):
-            raise DomainError(f"n_max must be an integer, got {self.n_max!r}")
+        if not (_is_integer(self.n_max) and self.n_max >= 0):
+            raise DomainError(f"n_max must be an integer >= 0, got {self.n_max!r}")
+        if not _is_integer(self.dim_ceiling):
+            raise DomainError(f"dim_ceiling must be an integer, got {self.dim_ceiling!r}")
         object.__setattr__(self, "n_max", int(self.n_max))
-        if self.n_max < 0:
-            raise DomainError(f"n_max must be >= 0, got {self.n_max}")
+        object.__setattr__(self, "dim_ceiling", int(self.dim_ceiling))
         if not isinstance(self.variant, HamiltonianVariant):
             raise DomainError("variant must be a HamiltonianVariant member")
 
@@ -228,9 +229,11 @@ def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def coherent_amplitudes(alpha_sq: float, n_max: int) -> np.ndarray:
     """Fock amplitudes of |alpha> with alpha = sqrt(alpha_sq), real and positive."""
-    if alpha_sq < 0.0:
-        raise DomainError(f"alpha_sq must be >= 0, got {alpha_sq}")
-    return np.exp(0.5 * poisson_logpmf(alpha_sq, n_max))
+    if not (_is_real(alpha_sq) and alpha_sq >= 0.0):
+        raise DomainError(f"alpha_sq must be a real number >= 0, got {alpha_sq!r}")
+    if not (_is_integer(n_max) and n_max >= 0):
+        raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
+    return np.exp(0.5 * poisson_logpmf(float(alpha_sq), int(n_max)))
 
 
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
@@ -285,14 +288,11 @@ def _initial_vector(
             )
         psi0[sector] = amps
     else:
-        if not _is_integer(initial_fock):
-            raise DomainError(f"initial_fock must be an integer, got {initial_fock!r}")
-        initial_fock = int(initial_fock)
-        if not 0 <= initial_fock <= config.n_max:
+        if not (_is_integer(initial_fock) and 0 <= initial_fock <= config.n_max):
             raise DomainError(
-                f"initial_fock={initial_fock} outside the truncated space [0, {config.n_max}]"
+                f"initial_fock must be an integer in [0, {config.n_max}], got {initial_fock!r}"
             )
-        psi0[sector, initial_fock] = 1.0
+        psi0[sector, int(initial_fock)] = 1.0
     return psi0
 
 

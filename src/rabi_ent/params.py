@@ -15,11 +15,19 @@ from enum import Enum
 from .errors import AdiabaticRegimeWarning, DomainError
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a finite real number, numpy scalars included, and no bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _is_integer(value) -> bool:
-    """Whether ``value`` is an int, a numpy int or a finite integral float, and no bool."""
-    if isinstance(value, numbers.Integral):
-        return not isinstance(value, bool)
-    return isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
+    """Whether ``value`` passes :func:`_is_real` and is integral, an integral float included."""
+    return _is_real(value) and int(value) == value
 
 
 class KappaConvention(Enum):
@@ -66,12 +74,9 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("ratio_r", "beta", "kappa0", "alpha_sq"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise DomainError(f"{name} must be a real number, got {value!r}")
-            value = float(value)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, float(value))
         if self.alpha_sq < 0.0:
             raise DomainError(f"alpha_sq must be >= 0, got {self.alpha_sq}")
         if not isinstance(self.kappa_convention, KappaConvention):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .params import KappaConvention, ModelParams, _is_integer
+from .params import KappaConvention, ModelParams, _is_integer, _is_real
 from .specialfn import DEFAULT_TAIL_TOL
 from .dynamics import _peak_transition_probs, transition_prob
 
@@ -39,13 +39,12 @@ class AxisRange:
     steps: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise DomainError("axis range endpoints must be finite")
-        if self.max < self.min:
-            raise DomainError(f"axis range has max {self.max} < min {self.min}")
+        if not (_is_real(self.min) and _is_real(self.max) and self.min <= self.max):
+            raise DomainError(f"axis range needs real min <= max, got {self.min!r}, {self.max!r}")
         if not _is_integer(self.steps) or self.steps < 2:
             raise DomainError(f"steps must be an integer >= 2, got {self.steps}")
-        object.__setattr__(self, "steps", int(self.steps))
+        for name, cast in (("min", float), ("max", float), ("steps", int)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.min, self.max, self.steps)
@@ -80,7 +79,11 @@ class ScanSpec:
         doubled = sorted(set(ranges) & set(fixed))
         if doubled:
             raise DomainError(f"parameters both swept and fixed: {doubled}")
-        object.__setattr__(self, "time_points", _window_size(self.horizon, self.time_points))
+        for name, value in zip(("horizon", "time_points"), _window(self.horizon, self.time_points)):
+            object.__setattr__(self, name, value)
+        if not _is_integer(self.grid_ceiling):
+            raise DomainError(f"grid_ceiling must be an integer, got {self.grid_ceiling!r}")
+        object.__setattr__(self, "grid_ceiling", int(self.grid_ceiling))
 
     @property
     def axis_names(self) -> tuple[str, ...]:
@@ -108,13 +111,13 @@ class StartOutsideBounds(DomainError):
         self.axis = axis
 
 
-def _window_size(horizon: float, time_points: int) -> int:
-    """``time_points`` as an int, once the objective window on [0, horizon] checks out."""
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise DomainError(f"horizon must be > 0, got {horizon}")
+def _window(horizon: float, time_points: int) -> tuple[float, int]:
+    """(horizon, time_points) as a float and an int, once the window on [0, horizon] checks out."""
+    if not (_is_real(horizon) and horizon > 0.0):
+        raise DomainError(f"horizon must be a real number > 0, got {horizon!r}")
     if not _is_integer(time_points) or time_points < 2:
         raise DomainError(f"time_points must be an integer >= 2, got {time_points}")
-    return int(time_points)
+    return float(horizon), int(time_points)
 
 
 def objective(
@@ -124,7 +127,7 @@ def objective(
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> float:
     """Worst-case transition probability over a uniform grid on [0, horizon]."""
-    times = np.linspace(0.0, horizon, _window_size(horizon, time_points))
+    times = np.linspace(0.0, *_window(horizon, time_points))
     series = transition_prob(params, times, tail_tol)
     return float(series.channels["T"].max())
 
@@ -207,11 +210,19 @@ def refine(
         raise DomainError("start_point must name at least one parameter")
     if not _is_integer(max_iters):
         raise DomainError(f"max_iters must be an integer, got {max_iters!r}")
+    if not (_is_real(ftol) and ftol >= 0.0):
+        raise DomainError(f"ftol must be a real number >= 0, got {ftol!r}")
     names = tuple(n for n in SWEEPABLE if n in start_point)
     if set(names) != set(start_point):
         raise DomainError("start_point keys must be sweepable parameter names")
     if set(step_scales) != set(names):
         raise DomainError("step_scales must cover exactly the start_point keys")
+    for name in names:
+        start, step = start_point[name], step_scales[name]
+        if not _is_real(start):
+            raise DomainError(f"start_point {name} must be a real number, got {start!r}")
+        if not (_is_real(step) and step != 0.0):
+            raise DomainError(f"step_scales {name} must be a nonzero real number, got {step!r}")
     if objective_fn is None:
         if spec is None:
             raise DomainError("refine needs either a ScanSpec or an objective_fn")

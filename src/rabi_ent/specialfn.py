@@ -1,9 +1,8 @@
-"""Numerically stable special-function kernels.
+"""Laguerre polynomials by upward recurrence, displaced number-state overlaps, Poisson weights.
 
-Laguerre polynomials via the upward three-term recurrence, displaced
-number-state overlaps, and log-space Poisson photon weights.  The recurrence
-is stable for the small arguments that occur here (x = beta^2 or 4*beta^2,
-at most a few), where cancellation is mild.
+Up to degree 5000 the recurrence errs by under 1.3e-13 of the envelope e^{x/2} at dyadic
+x >= 1/16, where 2k+1-x is exact, and by 2.2e-12 at the fig4 beta^2, 6.3e-11 at x = 1e-3 and
+3.4e-10 at x = 1e-6 (``test_laguerre_sequence_against_mpmath`` holds these with 2x margin).
 """
 
 from __future__ import annotations
@@ -14,20 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
+from .params import _is_integer, _is_real
 
 MAX_LAGUERRE_DEGREE = 10**6
 DEFAULT_TAIL_TOL = 1e-12
-
-
-def _check_degree(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"degree must be an integer, got {n!r}")
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    if n > MAX_LAGUERRE_DEGREE:
-        raise DomainError(f"degree {n} exceeds the practical bound {MAX_LAGUERRE_DEGREE}")
-    return n
 
 
 def laguerre_sequence(n_max: int, x: float) -> np.ndarray:
@@ -35,10 +24,11 @@ def laguerre_sequence(n_max: int, x: float) -> np.ndarray:
 
     Uses (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}.
     """
-    n_max = _check_degree(n_max)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"argument must be finite and >= 0, got {x}")
+    if not (_is_integer(n_max) and 0 <= n_max <= MAX_LAGUERRE_DEGREE):
+        raise DomainError(f"degree must be an integer in [0, {MAX_LAGUERRE_DEGREE}], got {n_max!r}")
+    if not (_is_real(x) and x >= 0.0):
+        raise DomainError(f"argument must be a real number >= 0, got {x!r}")
+    n_max, x = int(n_max), float(x)
     values = [1.0, 1.0 - x]
     for k in range(1, n_max):
         values.append(((2.0 * k + 1.0 - x) * values[k] - k * values[k - 1]) / (k + 1.0))
@@ -55,10 +45,9 @@ def displaced_overlap(n: int, d: float) -> float:
 
     Equals exp(-d^2/2) * L_n(d^2); even in d.
     """
-    d = float(d)
-    if not math.isfinite(d):
-        raise DomainError(f"displacement must be finite, got {d}")
-    d2 = d * d
+    if not _is_real(d):
+        raise DomainError(f"displacement must be a real number, got {d!r}")
+    d2 = float(d) * float(d)
     return math.exp(-0.5 * d2) * laguerre(n, d2)
 
 
@@ -103,12 +92,11 @@ def poisson_logweights(alpha_sq: float, tail_tol: float = DEFAULT_TAIL_TOL) -> L
     The table stops at the first N whose cumulative mass reaches
     1 - tail_tol.
     """
-    alpha_sq = float(alpha_sq)
-    if not math.isfinite(alpha_sq) or alpha_sq < 0.0:
-        raise DomainError(f"alpha_sq must be finite and >= 0, got {alpha_sq}")
-    tail_tol = float(tail_tol)
-    if not 0.0 < tail_tol <= 1e-6:
-        raise DomainError(f"tail_tol must lie in (0, 1e-6], got {tail_tol}")
+    if not (_is_real(alpha_sq) and alpha_sq >= 0.0):
+        raise DomainError(f"alpha_sq must be a real number >= 0, got {alpha_sq!r}")
+    if not (_is_real(tail_tol) and 0.0 < tail_tol <= 1e-6):
+        raise DomainError(f"tail_tol must be a real number in (0, 1e-6], got {tail_tol!r}")
+    alpha_sq, tail_tol = float(alpha_sq), float(tail_tol)
     target = 1.0 - tail_tol
     n_hi = int(alpha_sq + 12.0 * math.sqrt(alpha_sq + 1.0) + 40.0)
     while True:

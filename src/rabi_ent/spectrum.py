@@ -62,8 +62,9 @@ def aa_columns(params: ModelParams, n_max: int, n_min: int = 0) -> dict[str, np.
     the ``y_*``/``l2_*`` entries are NaN and the weight is 0.  One Laguerre
     recurrence pass per argument serves every row.
     """
-    if n_min < 0 or n_max < n_min:
-        raise DomainError(f"need 0 <= n_min <= n_max, got [{n_min}, {n_max}]")
+    if not (_is_integer(n_min) and _is_integer(n_max) and 0 <= n_min <= n_max):
+        raise DomainError(f"need integers 0 <= n_min <= n_max, got [{n_min!r}, {n_max!r}]")
+    n_min, n_max = int(n_min), int(n_max)
     b2 = params.beta * params.beta
     k_eff = effective_kappa(params)
     n = np.arange(n_min, n_max + 1)
@@ -126,12 +127,9 @@ def aa_rows(params: ModelParams, n_max: int, n_min: int = 0) -> list[AASpectrumR
 
 def aa_row(N: int, params: ModelParams) -> AASpectrumRow:
     """Spectrum row for a single photon number."""
-    if not _is_integer(N):
+    if not (_is_integer(N) and N >= 0):
         raise DomainError(f"N must be a nonnegative integer, got {N!r}")
-    N = int(N)
-    if N < 0:
-        raise DomainError(f"N must be >= 0, got {N}")
-    return aa_rows(params, N, N)[0]
+    return aa_rows(params, int(N), int(N))[0]
 
 
 def omega_1N(N: int, params: ModelParams) -> float:

@@ -558,6 +558,8 @@ _REJECTIONS = [
     _case("tprob", "model.alpha_sq", -4.0, 3, "alpha_sq"),
     _case("oracle", "ed.n_max", -1, 3, "n_max"),
     _case("jc", "jc.g", 0.0, 3, "g"),
+    _case("scan", "scan.refine.step_scales.beta", 0.0, 3, "step_scales"),
+    _case("scan", "scan.refine.ftol", -1.0, 3, "ftol"),
     _case("oracle", "ed.dim_ceiling", 16, 4, "ceiling"),
     _case("scan", "scan.grid_ceiling", 2, 4, "ceiling"),
 ]
