@@ -34,7 +34,6 @@ from .dynamics import (
 from .oracle import (
     EDConfig,
     EDResult,
-    HamiltonianVariant,
     build_hamiltonian,
     coherent_amplitudes,
     concurrence,
@@ -55,7 +54,6 @@ __all__ = [
     "DomainError",
     "EDConfig",
     "EDResult",
-    "HamiltonianVariant",
     "KappaConvention",
     "LogWeightTable",
     "ModelParams",

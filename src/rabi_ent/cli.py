@@ -125,7 +125,7 @@ def _oracle(cfg: dict):
     times = times_from_config(cfg)
     ed = section(cfg, "ed")
     n_max = required_n_max(params.alpha_sq) if ed["n_max"] is None else ed["n_max"]
-    config = EDConfig(n_max=n_max, variant=ed["variant"], dim_ceiling=ed["dim_ceiling"])
+    config = EDConfig(n_max=n_max, dim_ceiling=ed["dim_ceiling"])
     result = evolve(
         params,
         config,
@@ -139,7 +139,6 @@ def _oracle(cfg: dict):
     columns = (times, pops["P11"], pops["P1m1"], pops["P10"], pops["P00"], conc)
     summary = {
         "n_max": config.n_max,
-        "variant": config.variant.value,
         "truncation_error": result.truncation_error,
     }
     note = f"({times.size} rows); truncation_error = {result.truncation_error}"

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .oracle import EDConfig, HamiltonianVariant
-from .params import KappaConvention, ModelParams, SpinState
+from .oracle import EDConfig
+from .params import KappaConvention, ModelParams, SpinState, _is_real
 from .scan import AxisRange, ScanSpec, SWEEPABLE
 from .specialfn import DEFAULT_TAIL_TOL
 
@@ -28,7 +28,9 @@ REQUIRED = object()
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON float, NaN and infinities included (the domain checks reject those), or an
+    integer within the float range."""
+    return isinstance(value, float) or _is_real(value)
 
 
 # kind -> (accepts the JSON value, what the error message expects, cast)
@@ -112,7 +114,6 @@ SCHEMA = {
     },
     "ed": {
         "n_max": Field("integer", None),  # None: required_n_max(alpha_sq)
-        "variant": _choice(HamiltonianVariant, EDConfig.variant),
         "initial_spin": _choice(SpinState, SpinState.J1M0, by_name=True),
         "initial_fock": Field("integer", None, nullable=True),  # None: coherent state
         "check_truncation": Field("bool", True),
@@ -218,7 +219,7 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return validate_config(raw)
 

@@ -12,7 +12,6 @@ import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -71,26 +70,13 @@ _SYSY = np.array(
 )
 
 
-class HamiltonianVariant(Enum):
-    """Reading of the qubit-sum operator that multiplies the oscillator coupling.
-
-    HALF_SUM uses (sz1 + sz2)/2 with eigenvalues {-1, 0, 1}, displacing
-    adjacent spin sectors by one coupling unit; PAULI_SUM uses the literal
-    sz1 + sz2 with eigenvalues {-2, 0, 2}.
-    """
-
-    HALF_SUM = "half_sum"
-    PAULI_SUM = "pauli_sum"
-
-
 @dataclass(frozen=True)
 class EDConfig:
-    """Truncation and variant switches for the dense oracle.  ``dim_ceiling`` bounds the
-    dimension 4 * (n_max + 1) of the requested cutoff; the truncation re-run is not held to it.
+    """Fock truncation of the dense oracle.  ``dim_ceiling`` bounds the dimension
+    4 * (n_max + 1) of the requested cutoff; the truncation re-run is not held to it.
     """
 
     n_max: int
-    variant: HamiltonianVariant = HamiltonianVariant.HALF_SUM
     dim_ceiling: int = 8192
 
     def __post_init__(self) -> None:
@@ -100,8 +86,6 @@ class EDConfig:
             raise DomainError(f"dim_ceiling must be an integer, got {self.dim_ceiling!r}")
         object.__setattr__(self, "n_max", int(self.n_max))
         object.__setattr__(self, "dim_ceiling", int(self.dim_ceiling))
-        if not isinstance(self.variant, HamiltonianVariant):
-            raise DomainError("variant must be a HamiltonianVariant member")
 
     @property
     def dim(self) -> int:
@@ -142,8 +126,9 @@ def build_hamiltonian(params: ModelParams, config: EDConfig) -> np.ndarray:
     """Dense real symmetric Hamiltonian, basis (composite spin) x (Fock number).
 
     Blocks: oscillator energy, the sector-displacing coupling beta*(a + a^dag)
-    weighted by the variant's qubit-sum operator, the transverse qubit term,
-    and the inter-qubit coupling.  The |0,0> spin sector couples to nothing.
+    weighted by (sz1 + sz2)/2, the transverse qubit term, and the inter-qubit
+    coupling.  The |0,0> spin sector couples to nothing.  The literal sz1 + sz2
+    reading is this Hamiltonian at 2 * beta, bit for bit.
     """
     _check_capacity(config)
     n_osc = config.n_max + 1
@@ -151,9 +136,8 @@ def build_hamiltonian(params: ModelParams, config: EDConfig) -> np.ndarray:
     ladder = np.diag(np.sqrt(np.arange(1.0, n_osc)), 1)
     number_op = np.diag(np.arange(float(n_osc)))
     position = ladder + ladder.T
-    sector_op = _SZ_HALF if config.variant is HamiltonianVariant.HALF_SUM else 2.0 * _SZ_HALF
     h = np.kron(np.eye(SPIN_DIM), number_op)
-    h += params.beta * np.kron(sector_op, position)
+    h += params.beta * np.kron(_SZ_HALF, position)
     h -= 0.5 * params.ratio_r * np.kron(_SX_SUM, eye_osc)
     h -= effective_kappa(params) * np.kron(_SX_PROD, eye_osc)
     return h
@@ -175,11 +159,10 @@ def _parity_block(params: ModelParams, config: EDConfig, parity: int):
     """
     n_osc = config.n_max + 1
     ms = np.arange(parity, n_osc, 2)
-    coupling = params.beta if config.variant is HamiltonianVariant.HALF_SUM else 2.0 * params.beta
     kappa = effective_kappa(params)
     s, t = np.arange(n_osc), n_osc + np.arange(ms.size)
     diag = np.concatenate([s - kappa * _parity_signs(n_osc, parity), ms - kappa])
-    off = coupling * np.sqrt(s[1:])
+    off = params.beta * np.sqrt(s[1:])
     h = np.diag(diag)
     h[s[:-1], s[1:]] = h[s[1:], s[:-1]] = off
     h[ms, t] = h[t, ms] = -params.ratio_r

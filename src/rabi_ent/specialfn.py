@@ -97,20 +97,13 @@ def poisson_logweights(alpha_sq: float, tail_tol: float = DEFAULT_TAIL_TOL) -> L
     if not (_is_real(tail_tol) and 0.0 < tail_tol <= 1e-6):
         raise DomainError(f"tail_tol must be a real number in (0, 1e-6], got {tail_tol!r}")
     alpha_sq, tail_tol = float(alpha_sq), float(tail_tol)
-    target = 1.0 - tail_tol
     n_hi = int(alpha_sq + 12.0 * math.sqrt(alpha_sq + 1.0) + 40.0)
-    while True:
-        if n_hi > 2_000_000:
-            raise CapacityError("Poisson table would exceed 2e6 entries")
-        log_p = poisson_logpmf(alpha_sq, n_hi)
-        cum = np.cumsum(np.exp(log_p))
-        hit = np.nonzero(cum >= target)[0]
-        if hit.size:
-            cut = int(hit[0])
-            # a copy, so that the table does not keep the whole trial array alive
-            return LogWeightTable(alpha_sq, log_p[: cut + 1].copy(), tail_tol)
-        if cum[-1] > cum[-2]:
-            n_hi = int(1.5 * n_hi) + 10
-        else:
-            # increments have underflowed; this is as close to 1 as float64 gets
-            return LogWeightTable(alpha_sq=alpha_sq, log_p=log_p, tail_tol=tail_tol)
+    if n_hi > 2_000_000:
+        raise CapacityError("Poisson table would exceed 2e6 entries")
+    log_p = poisson_logpmf(alpha_sq, n_hi)
+    hit = np.nonzero(np.cumsum(np.exp(log_p)) >= 1.0 - tail_tol)[0]
+    # the mass at n_hi is below 1e-34 for every alpha_sq under the ceiling, far below float64
+    # resolution near 1: a table that misses 1 - tail_tol here misses it at any larger n_hi
+    cut = int(hit[0]) if hit.size else n_hi
+    # a copy, so that the table does not keep the whole trial array alive
+    return LogWeightTable(alpha_sq, log_p[: cut + 1].copy(), tail_tol)

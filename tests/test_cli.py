@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,14 @@ import numpy as np
 import pytest
 
 from rabi_ent.cli import _csv_pieces, build_parser, load_preset, main, preset_name
-from rabi_ent.config import SCHEMA, MapOf, scanspec_from_config, section, validate_config
+from rabi_ent.config import (
+    SCHEMA,
+    MapOf,
+    load_config,
+    scanspec_from_config,
+    section,
+    validate_config,
+)
 from rabi_ent.scan import grid_scan
 
 AA_VALID_MODEL = {"ratio_r": 0.05, "beta": 0.2, "kappa0": 0.0, "alpha_sq": 9.0}
@@ -30,6 +38,15 @@ def test_all_presets_load():
             cfg = load_preset(fig, panel)
             assert cfg["label"] == preset_name(fig, panel)
             assert "model" in cfg and "time_grid" in cfg and "ed" in cfg
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+    ids=lambda path: path.name,
+)
+def test_committed_configs_load(path):
+    load_config(path)
 
 
 def test_tprob_fig3_preset(tmp_path, monkeypatch):
@@ -257,7 +274,6 @@ def test_oracle_stationary_initial_state(tmp_path, monkeypatch):
     assert np.all(data["C"] >= 1.0 - 1e-10)
     sidecar = json.loads((tmp_path / "oracle.csv.json").read_text())
     assert sidecar["truncation_error"] is None
-    assert sidecar["variant"] == "half_sum"
 
 
 def test_oracle_population_tracks_doubled_series(tmp_path, monkeypatch):
@@ -342,9 +358,14 @@ def test_unknown_key_rejected(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_invalid_json_is_config_error(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", '{"model": {"ratio_r": 0.2, "beta": 1' + "0" * 5000 + "}}"],
+    ids=["not-json", "integer-past-the-digit-limit"],
+)
+def test_invalid_json_is_config_error(tmp_path, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text(text)
     assert main(["tprob", "--config", str(bad)]) == 2
 
 
@@ -468,6 +489,7 @@ _REJECTIONS = [
     _case("tprob", "time_grid.step", 0.1, 2, "time_grid"),
     _case("spectrum", "spectrum.n_top", 4, 2, "spectrum"),
     _case("oracle", "ed.nmax", 4, 2, "ed"),
+    _case("oracle", "ed.variant", "half_sum", 2, "ed"),
     _case("jc", "jc.omega", 1.0, 2, "jc"),
     _case("scan", "scan.range", {}, 2, "scan"),
     _case("scan", "scan.ranges.beta.step", 3, 2, "scan.ranges.beta"),
@@ -519,10 +541,24 @@ _REJECTIONS = [
     _case("tprob", "description", ["x"], 2, "description"),
     _case("tprob", "output.path", 3, 2, "output.path"),
     _case("tprob", "model.kappa_convention", "omega", 2, "model.kappa_convention"),
-    _case("oracle", "ed.variant", "full_sum", 2, "ed.variant"),
     _case("oracle", "ed.initial_spin", "1,0", 2, "ed.initial_spin"),
     _case("scan", "scan.kappa_convention", 1, 2, "scan.kappa_convention"),
     _case("tprob", "model.kappa_convention", [], 2, "model.kappa_convention"),
+    # an integer past the float range is no number
+    pytest.param(
+        "tprob",
+        _edited("tprob", "model.beta", 10**400),
+        2,
+        "model.beta",
+        id="tprob-model.beta=10**400",
+    ),
+    pytest.param(
+        "scan",
+        _edited("scan", "scan.refine.bounds", {"beta": [0.3, 10**400]}),
+        2,
+        "scan.refine.bounds.beta",
+        id="scan-scan.refine.bounds.beta=[0.3, 10**400]",
+    ),
     # bounds checked at load
     _case("tprob", "time_grid.points", 1, 2, "time_grid.points"),
     _case("tprob", "time_grid.t_max", 0.0, 2, "time_grid"),
@@ -556,6 +592,8 @@ _REJECTIONS = [
     _case("scan", "scan", _DELETE, 2, "scan"),
     # valid structure, invalid physics or size: exit 3 and 4
     _case("tprob", "model.alpha_sq", -4.0, 3, "alpha_sq"),
+    _case("tprob", "model.beta", math.nan, 3, "beta"),
+    _case("tprob", "model.beta", math.inf, 3, "beta"),
     _case("oracle", "ed.n_max", -1, 3, "n_max"),
     _case("jc", "jc.g", 0.0, 3, "g"),
     _case("scan", "scan.refine.step_scales.beta", 0.0, 3, "step_scales"),

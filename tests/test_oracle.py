@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -11,7 +12,6 @@ from rabi_ent import (
     CapacityError,
     DomainError,
     EDConfig,
-    HamiltonianVariant,
     ModelParams,
     SpinState,
     TruncationWarning,
@@ -61,10 +61,10 @@ def test_displaced_oscillator_spectrum_half_sum():
 
 
 def test_displaced_oscillator_spectrum_pauli_sum():
+    # the literal sz1 + sz2 reading is the oracle at 2 * beta
     beta = 0.35
-    params = quiet_params(ratio_r=0.0, beta=beta, kappa0=0.0)
-    config = EDConfig(n_max=40, variant=HamiltonianVariant.PAULI_SUM)
-    evals, _ = eigendecompose(build_hamiltonian(params, config))
+    params = quiet_params(ratio_r=0.0, beta=2.0 * beta, kappa0=0.0)
+    evals, _ = eigendecompose(build_hamiltonian(params, EDConfig(n_max=40)))
     towers = sorted(
         [n - 4.0 * beta * beta for n in range(41)] * 2 + [float(n) for n in range(41)] * 2
     )
@@ -184,22 +184,6 @@ def test_zero_coupling_closed_form_populations():
     assert np.max(np.abs(pops["P00"])) <= 1e-12
 
 
-def test_variants_agree_at_zero_displacement():
-    params = ModelParams(ratio_r=0.2, beta=0.0, kappa0=0.3, alpha_sq=4.0)
-    times = np.linspace(0.0, 30.0, 61)
-    half = evolve(
-        params, EDConfig(n_max=30), times, compute_truncation_error=False
-    ).populations.channels
-    pauli = evolve(
-        params,
-        EDConfig(n_max=30, variant=HamiltonianVariant.PAULI_SUM),
-        times,
-        compute_truncation_error=False,
-    ).populations.channels
-    for name in half:
-        assert half[name] == pytest.approx(pauli[name], abs=1e-12)
-
-
 def test_unitarity_and_energy_conservation():
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=9.0)
     config = EDConfig(n_max=50)
@@ -282,7 +266,7 @@ def test_low_spectrum_matches_closed_forms_in_slow_qubit_regime():
 
 def test_variant_discrimination_stable_across_parameter_set():
     # the half-sum reading tracks the doubled closed-form series at every
-    # slow-qubit point tried; the literal pauli-sum reading never does
+    # slow-qubit point tried; the literal pauli-sum reading, beta doubled, never does
     cases = [
         (ModelParams(ratio_r=0.04, beta=0.3, kappa0=0.05, alpha_sq=6.0), 50),
         (ModelParams(ratio_r=0.06, beta=0.15, kappa0=-0.1, alpha_sq=12.0), 60),
@@ -292,18 +276,18 @@ def test_variant_discrimination_stable_across_parameter_set():
     for params, n_max in cases:
         series = transition_prob(params, times).channels["T"]
         gaps = {}
-        for variant in HamiltonianVariant:
+        for reading, scale in (("half_sum", 1.0), ("pauli_sum", 2.0)):
             result = evolve(
-                params,
-                EDConfig(n_max=n_max, variant=variant),
+                replace(params, beta=scale * params.beta),
+                EDConfig(n_max=n_max),
                 times,
                 compute_truncation_error=False,
             )
-            gaps[variant] = float(
+            gaps[reading] = float(
                 np.max(np.abs(result.populations.channels["P11"] - 2.0 * series))
             )
-        assert gaps[HamiltonianVariant.HALF_SUM] < 0.1
-        assert gaps[HamiltonianVariant.PAULI_SUM] > 2.0 * gaps[HamiltonianVariant.HALF_SUM]
+        assert gaps["half_sum"] < 0.1
+        assert gaps["pauli_sum"] > 2.0 * gaps["half_sum"]
 
 
 def test_concurrence_reference_states():
@@ -411,19 +395,20 @@ def _parity_basis(n_max: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     return basis, scale
 
 
-@pytest.mark.parametrize("variant", list(HamiltonianVariant))
+@pytest.mark.parametrize("beta_scale", [1.0, 2.0])
 @pytest.mark.parametrize("n_max", [12, 13])
-def test_parity_blocks_are_projections_of_the_full_hamiltonian(variant, n_max):
+def test_parity_blocks_are_projections_of_the_full_hamiltonian(beta_scale, n_max):
     from rabi_ent.oracle import _parity_block
 
-    config = EDConfig(n_max=n_max, variant=variant)
-    h = build_hamiltonian(PARITY_PARAMS, config)
+    params = replace(PARITY_PARAMS, beta=beta_scale * PARITY_PARAMS.beta)
+    config = EDConfig(n_max=n_max)
+    h = build_hamiltonian(params, config)
     norm = np.linalg.norm(h, 2)
     even, odd = (_parity_basis(n_max, parity) for parity in (0, 1))
     assert np.all(even[0].T @ h @ odd[0] == 0.0)
     for parity, (basis, scale) in enumerate((even, odd)):
         projector = basis * scale
-        block, _ = _parity_block(PARITY_PARAMS, config, parity)
+        block, _ = _parity_block(params, config, parity)
         assert block.shape == (projector.shape[1],) * 2
         assert np.abs(block - projector.T @ h @ projector).max() <= 1e-14 * norm
 
@@ -517,15 +502,16 @@ def test_concurrence_of_a_stack_matches_each_matrix():
         concurrence(stack)
 
 
-@pytest.mark.parametrize("variant", list(HamiltonianVariant))
+@pytest.mark.parametrize("beta_scale", [1.0, 2.0])
 @pytest.mark.parametrize("n_max", [0, 1, 12, 13])
-def test_parity_block_product_is_the_dense_product(variant, n_max):
+def test_parity_block_product_is_the_dense_product(beta_scale, n_max):
     from rabi_ent.oracle import _parity_block
 
-    config = EDConfig(n_max=n_max, variant=variant)
+    params = replace(PARITY_PARAMS, beta=beta_scale * PARITY_PARAMS.beta)
+    config = EDConfig(n_max=n_max)
     rng = np.random.default_rng(n_max)
     for parity in (0, 1):
-        h, product = _parity_block(PARITY_PARAMS, config, parity)
+        h, product = _parity_block(params, config, parity)
         v = rng.standard_normal((h.shape[0], 7))
         assert np.abs(product(v) - h @ v).max() <= 1e-14 * np.abs(h).sum(axis=1).max()
 

@@ -254,8 +254,8 @@ REAL_VALUES_IN_RANGE = {"poisson_logweights.tail_tol": (1e-7, np.float32(1e-7), 
 
 @pytest.mark.parametrize(
     "value",
-    [True, np.True_, "0.5", math.nan, math.inf, -math.inf],
-    ids=["True", "np.True_", "str", "nan", "inf", "-inf"],
+    [True, np.True_, "0.5", math.nan, math.inf, -math.inf, 10**400],
+    ids=["True", "np.True_", "str", "nan", "inf", "-inf", "10**400"],
 )
 @pytest.mark.parametrize("site", list(REAL_SITES))
 def test_real_inputs_reject_bools_strings_and_non_finite_values(site, value):

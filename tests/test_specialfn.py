@@ -13,6 +13,7 @@ from rabi_ent import (
     laguerre_sequence,
     poisson_logweights,
 )
+from rabi_ent.specialfn import poisson_logpmf
 
 
 def laguerre_series(n: int, x: Fraction) -> Fraction:
@@ -165,7 +166,7 @@ def test_poisson_large_mean_direct_evaluation():
     assert table.n_cut + 1 >= 250 + 7 * math.sqrt(250.0)
 
 
-@pytest.mark.parametrize("alpha_sq", [0.5, 16.0, 250.0])
+@pytest.mark.parametrize("alpha_sq", [1e-3, 0.5, 16.0, 250.0])
 def test_poisson_normalization_and_shape(alpha_sq):
     table = poisson_logweights(alpha_sq)
     masses = table.masses()
@@ -184,10 +185,21 @@ def test_poisson_normalization_and_shape(alpha_sq):
     "alpha_sq, tail_tol", [(0.0, 1e-12), (1.0, 1e-12), (1000.0, 1e-12), (250.0, 1e-300)]
 )
 def test_poisson_table_owns_exactly_its_entries(alpha_sq, tail_tol):
-    # the last case never reaches 1 - tail_tol and stops where the increments underflow
+    # the last case never reaches 1 - tail_tol and keeps the whole first-bound table
     table = poisson_logweights(alpha_sq, tail_tol)
     assert table.log_p.base is None
     assert table.log_p.shape == (table.n_cut + 1,)
+
+
+# 3.4e4 is about where the mass at the first bound is largest (4.3e-35 up to the 2e6 ceiling)
+@pytest.mark.parametrize("alpha_sq", [3.4e4, 1e6])
+def test_poisson_first_bound_leaves_no_float64_mass(alpha_sq):
+    # poisson_logweights evaluates once, up to this bound, and never extends the table
+    n_hi = int(alpha_sq + 12.0 * math.sqrt(alpha_sq + 1.0) + 40.0)
+    assert poisson_logpmf(alpha_sq, n_hi)[-1] < math.log(1e-34)
+    table = poisson_logweights(alpha_sq)
+    assert table.n_cut <= n_hi
+    assert abs(int(np.argmax(table.log_p)) - math.floor(alpha_sq)) <= 1
 
 
 def test_poisson_tail_tol_controls_cut():
