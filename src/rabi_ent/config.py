@@ -105,7 +105,7 @@ SCHEMA = {
     "time_grid": {
         "t_min": Field("number", 0.0),
         "t_max": Field("number", gt="t_min"),
-        "points": Field("integer", 2000, ge=2),
+        "points": Field("integer", 2000, ge=2, le=10**7),  # 80 MB per float column
     },
     "tail_tol": Field("number", DEFAULT_TAIL_TOL, gt=0.0, le=1e-6),
     "spectrum": {
@@ -132,7 +132,7 @@ SCHEMA = {
         ),
         "fixed": MapOf(Field("number"), sweepable=True),
         "horizon": Field("number"),
-        "time_points": Field("integer", ScanSpec.time_points),
+        "time_points": Field("integer", ScanSpec.time_points, le=10**7),
         "kappa_convention": _choice(KappaConvention, ScanSpec.kappa_convention),
         "grid_ceiling": Field("integer", ScanSpec.grid_ceiling),
         "refine": {

@@ -180,15 +180,19 @@ def _parity_block(params: ModelParams, config: EDConfig, parity: int):
 
 def _checked_eigh(h: np.ndarray, product) -> tuple[np.ndarray, np.ndarray]:
     """eigh of a symmetric ``h``, with every residual ||H v - lambda v|| <= 1e-9 ||H||,
-    H v taken as ``product(evecs)``."""
+    H v taken as ``product`` of _PHASE_BLOCK eigenvectors at a time."""
     try:
         evals, evecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise RuntimeError(f"eigendecomposition failed to converge: {exc}") from exc
     norm = float(np.abs(evals).max()) if evals.size else 0.0
     if norm > 0.0:
-        residuals = np.linalg.norm(product(evecs) - evecs * evals, axis=0)
-        worst = float(residuals.max())
+        worst = 0.0
+        for start in range(0, evals.size, _PHASE_BLOCK):
+            chunk = slice(start, start + _PHASE_BLOCK)
+            r = product(evecs[:, chunk])
+            r -= evecs[:, chunk] * evals[chunk]
+            worst = max(worst, float(np.linalg.norm(r, axis=0).max()))
         if worst > 1e-9 * norm:
             raise RuntimeError(
                 f"eigenpair residual {worst:.3e} exceeds 1e-9 * ||H|| = {1e-9 * norm:.3e}"
@@ -297,14 +301,15 @@ def _evolution(
     params: ModelParams,
     config: EDConfig,
     times: np.ndarray,
-    initial_spin: SpinState,
-    initial_fock: int | None,
+    psi0: np.ndarray,
 ) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray]]]:
-    """The full sorted spectrum, and the sector amplitudes' real and imaginary parts as
-    (start, re, im) for times[start : start + rows], one block of at most _PHASE_BLOCK
-    rows at a time, re and im of shape (rows, 4, n_osc).
+    """The full sorted spectrum, and the real and imaginary parts of the sector amplitudes
+    evolved from ``psi0`` (an ``_initial_vector`` at ``config``) as (start, re, im) for
+    times[start : start + rows], one block of at most _PHASE_BLOCK rows at a time, re and
+    im of shape (rows, 4, n_osc).
 
-    Each parity block is diagonalized on its own.  Its eigencomponents of least
+    Each parity block is diagonalized on its own, its matrix and eigenvectors freed
+    before the next block's eigh.  Its eigencomponents of least
     |c| = |<v|psi0>| are left out while their summed |c| stays <= PRUNE_BOUND, and so
     are its s_n rows, and its |1,0>|m> rows, outside the span of those whose bound
     sum_j |V_nj| |c_j| over the rest reaches PRUNE_BOUND: no amplitude moves by more
@@ -313,7 +318,6 @@ def _evolution(
     into the same two buffers: a block is valid until the next one is drawn.
     """
     n_osc = config.n_max + 1
-    psi0 = _initial_vector(params, config, initial_spin, initial_fock)
     spectra = [np.arange(n_osc) + effective_kappa(params)]
     singlet = _phase_blocks(-spectra[0], times) if psi0[3].any() else None
     parts = []
@@ -324,9 +328,12 @@ def _evolution(
         spectra.append(evals)
         coeff = evecs.T @ psi
         kept = _kept(np.abs(coeff))
-        reach = np.abs(evecs[:, kept]) @ np.abs(coeff[kept]) >= PRUNE_BOUND
+        magnitudes = evecs[:, kept]
+        reach = np.abs(magnitudes, out=magnitudes) @ np.abs(coeff[kept]) >= PRUNE_BOUND
+        del magnitudes  # before weights are drawn, which can then reuse its heap
         fock, ms = _span(reach[:n_osc]), _span(reach[n_osc:])
-        weights = evecs[np.r_[fock, n_osc + ms.start : n_osc + ms.stop]][:, kept].T
+        weights = evecs[np.ix_(np.r_[fock, n_osc + ms.start : n_osc + ms.stop], kept)].T
+        del evecs
         weights *= coeff[kept, None]
         split = fock.stop - fock.start
         m_rows = slice(parity + 2 * ms.start, parity + 2 * ms.stop, 2)
@@ -380,11 +387,20 @@ def evolve(
     eigencomponents and rows left out as below PRUNE_BOUND, which move no
     amplitude by more than 2 * PRUNE_BOUND.  Each block of _PHASE_BLOCK times is reduced
     before the next is evolved: per time, only the populations, one 4x4 density matrix
-    and, with ``keep_states``, the state are held.
+    and, with ``keep_states``, the state are held.  The initial state is checked at
+    n_max before any eigh; the re-run, whose parity blocks are the larger, then goes
+    first, so that the peak memory is one eigh of its larger block.
     """
     times = _as_times(times)
     _check_capacity(config)
-    evals, blocks = _evolution(params, config, times, initial_spin, initial_fock)
+    psi0 = _initial_vector(params, config, initial_spin, initial_fock)
+    pops_big = None
+    if compute_truncation_error:
+        bigger = replace(config, n_max=config.n_max + TRUNCATION_MARGIN)
+        psi_big = _initial_vector(params, bigger, initial_spin, initial_fock)
+        blocks = _evolution(params, bigger, times, psi_big)[1]
+        pops_big = np.hstack([_populations(re, im) for _, re, im in blocks])
+    evals, blocks = _evolution(params, config, times, psi0)
     pops = np.empty((SPIN_DIM, times.size))
     rho = np.empty((times.size, SPIN_DIM, SPIN_DIM), dtype=complex)
     states = np.empty((SPIN_DIM, config.n_max + 1, times.size), complex) if keep_states else None
@@ -401,11 +417,7 @@ def evolve(
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     conc = concurrence(rho)
     truncation_error = None
-    if compute_truncation_error:
-        bigger = replace(config, n_max=config.n_max + TRUNCATION_MARGIN)
-        pops_big = np.empty_like(pops)
-        for start, re, im in _evolution(params, bigger, times, initial_spin, initial_fock)[1]:
-            pops_big[:, start : start + len(re)] = _populations(re, im)
+    if pops_big is not None:
         truncation_error = float(np.abs(pops - pops_big).max())
         if truncation_error > 1e-6:
             warnings.warn(

@@ -561,6 +561,10 @@ _REJECTIONS = [
     ),
     # bounds checked at load
     _case("tprob", "time_grid.points", 1, 2, "time_grid.points"),
+    _case("tprob", "time_grid.points", 10**7 + 1, 2, "time_grid.points"),
+    _case("tprob", "time_grid.points", 10**30, 2, "time_grid.points"),
+    _case("scan", "scan.time_points", 10**7 + 1, 2, "scan.time_points"),
+    _case("scan", "scan.time_points", 10**30, 2, "scan.time_points"),
     _case("tprob", "time_grid.t_max", 0.0, 2, "time_grid"),
     _case("tprob", "time_grid.t_min", 10.0, 2, "time_grid"),
     _case("tprob", "tail_tol", 0.0, 2, "tail_tol"),

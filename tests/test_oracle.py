@@ -24,7 +24,8 @@ from rabi_ent import (
     required_n_max,
     transition_prob,
 )
-from rabi_ent.oracle import PRUNE_BOUND
+from rabi_ent.dynamics import _PHASE_BLOCK
+from rabi_ent.oracle import PRUNE_BOUND, TRUNCATION_MARGIN, _checked_eigh
 
 BELL_SYMMETRIC = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
 
@@ -119,6 +120,29 @@ def test_eigendecompose_random_symmetric_residual():
     assert np.all(np.diff(evals) >= 0.0)
 
 
+@pytest.mark.parametrize("target", [0, -1])
+def test_checked_eigh_checks_the_residual_of_every_chunk(target):
+    # the last eigenvector falls in a partial final chunk of 44 columns
+    dim = 2 * _PHASE_BLOCK + 44
+    a = np.random.default_rng(3).standard_normal((dim, dim))
+    h = 0.5 * (a + a.T)
+    evals = np.linalg.eigvalsh(h)
+    corrupted = []
+
+    def product(v):
+        # corrupt H v of the eigenvector of evals[target] alone, found by its Rayleigh quotient
+        hv = h @ v
+        hit = np.abs(np.einsum("ij,ij->j", v, hv) - evals[target]) < 1e-8
+        corrupted.append(int(hit.sum()))
+        hv[:, hit] += 1e-6
+        return hv
+
+    _checked_eigh(h, h.__matmul__)
+    with pytest.raises(RuntimeError, match="eigenpair residual"):
+        _checked_eigh(h, product)
+    assert sum(corrupted) == 1
+
+
 def test_eigendecompose_rejects_bad_input():
     with pytest.raises(DomainError):
         eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -149,6 +173,21 @@ def test_evolve_requires_adequate_cutoff():
     params = ModelParams(ratio_r=0.05, beta=0.2, alpha_sq=9.0)
     with pytest.raises(DomainError):
         evolve(params, EDConfig(n_max=30), np.linspace(0.0, 1.0, 3))
+
+
+def test_invalid_initial_state_fails_before_any_eigh(monkeypatch):
+    # both starts are valid at n_max + 20, where the truncation re-run evolves them
+    eigh, dims = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: dims.append(np.ndim(h)) or eigh(h))
+    params = ModelParams(ratio_r=0.05, beta=0.2, alpha_sq=9.0)
+    n_max = required_n_max(params.alpha_sq) - 1
+    config = EDConfig(n_max=n_max)
+    for start in ({"initial_fock": n_max + 1}, {}):
+        with pytest.raises(DomainError):
+            evolve(params, config, [0.0, 1.0], compute_truncation_error=True, **start)
+    assert dims == []
+    evolve(params, EDConfig(n_max=n_max + 1), [0.0, 1.0], compute_truncation_error=True)
+    assert dims.count(2) == 4  # two parity blocks in each of the run and the re-run
 
 
 def test_antisymmetric_fock_states_are_stationary():
@@ -488,6 +527,23 @@ def test_evolve_memory_does_not_grow_with_time_points():
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / 800 < 4 * (config.n_max + 1) * 8
+
+
+def test_evolve_peak_memory_is_one_rerun_block_at_a_time():
+    # traced numpy arrays only (LAPACK's workspace is not traced), in units of the re-run's
+    # larger parity block, d = 332: about 4.5 d^2 doubles, against 7.3 with one block's
+    # arrays still held during the next block's eigh and the re-run after the run
+    params = ModelParams(ratio_r=0.2, beta=0.4717, kappa0=-0.7, alpha_sq=16.0)
+    config = EDConfig(n_max=200)
+    n_osc = config.n_max + 1 + TRUNCATION_MARGIN
+    dim = n_osc + (n_osc + 1) // 2
+    tracemalloc.start()
+    try:
+        evolve(params, config, np.linspace(0.0, 400.0, 401), compute_truncation_error=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 8 * dim**2
 
 
 def test_concurrence_of_a_stack_matches_each_matrix():
