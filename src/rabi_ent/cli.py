@@ -20,9 +20,9 @@ from pathlib import Path
 
 from . import __version__
 from .config import (
+    _scanspec,
     load_config,
     params_from_config,
-    scanspec_from_config,
     section,
     times_from_config,
     validate_config,
@@ -125,7 +125,7 @@ def _oracle(cfg: dict):
     times = times_from_config(cfg)
     ed = section(cfg, "ed")
     n_max = required_n_max(params.alpha_sq) if ed["n_max"] is None else ed["n_max"]
-    config = EDConfig(n_max=n_max, dim_ceiling=ed["dim_ceiling"])
+    config = EDConfig(n_max=n_max)
     result = evolve(
         params,
         config,
@@ -153,7 +153,8 @@ def _jc(cfg: dict):
 
 
 def _scan(cfg: dict):
-    spec = scanspec_from_config(cfg)
+    scan = section(cfg, "scan", required=True)
+    spec = _scanspec(scan, section(cfg, "tail_tol"))
     result = grid_scan(spec)
     summary = {
         "best_point": result.best_point,
@@ -161,7 +162,7 @@ def _scan(cfg: dict):
         "grid_size": result.metadata.get("grid_size"),
     }
     best = result.best_objective
-    options = section(cfg, "scan", required=True).get("refine")
+    options = scan.get("refine")
     if options is not None:
         try:
             refined = refine(result.best_point, spec=spec, **options)

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .oracle import EDConfig
 from .params import KappaConvention, ModelParams, SpinState, _is_real
 from .scan import AxisRange, ScanSpec, SWEEPABLE
 from .specialfn import DEFAULT_TAIL_TOL
@@ -117,7 +116,6 @@ SCHEMA = {
         "initial_spin": _choice(SpinState, SpinState.J1M0, by_name=True),
         "initial_fock": Field("integer", None, nullable=True),  # None: coherent state
         "check_truncation": Field("bool", True),
-        "dim_ceiling": Field("integer", EDConfig.dim_ceiling),
     },
     "jc": {
         "delta": Field("number"),
@@ -134,7 +132,6 @@ SCHEMA = {
         "horizon": Field("number"),
         "time_points": Field("integer", ScanSpec.time_points, le=10**7),
         "kappa_convention": _choice(KappaConvention, ScanSpec.kappa_convention),
-        "grid_ceiling": Field("integer", ScanSpec.grid_ceiling),
         "refine": {
             "step_scales": MapOf(Field("number")),
             "max_iters": Field("integer", 200),
@@ -244,7 +241,11 @@ def times_from_config(cfg: dict) -> np.ndarray:
 
 
 def scanspec_from_config(cfg: dict) -> ScanSpec:
-    scan = section(cfg, "scan", required=True)
+    return _scanspec(section(cfg, "scan", required=True), section(cfg, "tail_tol"))
+
+
+def _scanspec(scan: dict, tail_tol: float) -> ScanSpec:
+    """The ScanSpec of a ``section(cfg, "scan")``."""
     try:
         return ScanSpec(
             ranges={name: AxisRange(**axis) for name, axis in scan["ranges"].items()},
@@ -252,8 +253,7 @@ def scanspec_from_config(cfg: dict) -> ScanSpec:
             horizon=scan["horizon"],
             time_points=scan["time_points"],
             kappa_convention=scan["kappa_convention"],
-            tail_tol=section(cfg, "tail_tol"),
-            grid_ceiling=scan["grid_ceiling"],
+            tail_tol=tail_tol,
         )
     except DomainError as exc:
         # a structurally inconsistent scan request is a configuration problem

@@ -22,6 +22,7 @@ from .specialfn import poisson_logpmf
 
 SPIN_DIM = 4
 TRUNCATION_MARGIN = 20
+DIM_CEILING = 8192  # largest 4 * (n_max + 1) the oracle admits; its truncation re-run may pass it
 # evolution leaves out what moves no amplitude by more than this (see _evolve_amplitudes)
 PRUNE_BOUND = 1e-15
 
@@ -72,20 +73,14 @@ _SYSY = np.array(
 
 @dataclass(frozen=True)
 class EDConfig:
-    """Fock truncation of the dense oracle.  ``dim_ceiling`` bounds the dimension
-    4 * (n_max + 1) of the requested cutoff; the truncation re-run is not held to it.
-    """
+    """Fock truncation of the dense oracle."""
 
     n_max: int
-    dim_ceiling: int = 8192
 
     def __post_init__(self) -> None:
         if not (_is_integer(self.n_max) and self.n_max >= 0):
             raise DomainError(f"n_max must be an integer >= 0, got {self.n_max!r}")
-        if not _is_integer(self.dim_ceiling):
-            raise DomainError(f"dim_ceiling must be an integer, got {self.dim_ceiling!r}")
         object.__setattr__(self, "n_max", int(self.n_max))
-        object.__setattr__(self, "dim_ceiling", int(self.dim_ceiling))
 
     @property
     def dim(self) -> int:
@@ -116,10 +111,8 @@ def required_n_max(alpha_sq: float) -> int:
 
 
 def _check_capacity(config: EDConfig) -> None:
-    if config.dim > config.dim_ceiling:
-        raise CapacityError(
-            f"dimension {config.dim} exceeds the ceiling {config.dim_ceiling}"
-        )
+    if config.dim > DIM_CEILING:
+        raise CapacityError(f"dimension {config.dim} exceeds the ceiling {DIM_CEILING}")
 
 
 def build_hamiltonian(params: ModelParams, config: EDConfig) -> np.ndarray:

@@ -22,12 +22,14 @@ from .specialfn import DEFAULT_TAIL_TOL
 from .dynamics import _peak_transition_probs, transition_prob
 
 SWEEPABLE = ("beta", "alpha_sq", "kappa0", "ratio_r")
+GRID_CEILING = 20000  # most points one grid_scan evaluates, checked before any axis is built
 
 _NM_REFLECT = 1.0
 _NM_EXPAND = 2.0
 _NM_CONTRACT = 0.5
 _NM_SHRINK = 0.5
 _PENALTY_SCALE = 1.0
+_SIMPLEX_TOL = 1e-3  # refine converges only with every vertex this many steps from the best
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,6 @@ class ScanSpec:
     time_points: int = 2000
     kappa_convention: KappaConvention = KappaConvention.OMEGA0_SCALED
     tail_tol: float = DEFAULT_TAIL_TOL
-    grid_ceiling: int = 20000
 
     def __post_init__(self) -> None:
         ranges = dict(self.ranges)
@@ -81,9 +82,6 @@ class ScanSpec:
             raise DomainError(f"parameters both swept and fixed: {doubled}")
         for name, value in zip(("horizon", "time_points"), _window(self.horizon, self.time_points)):
             object.__setattr__(self, name, value)
-        if not _is_integer(self.grid_ceiling):
-            raise DomainError(f"grid_ceiling must be an integer, got {self.grid_ceiling!r}")
-        object.__setattr__(self, "grid_ceiling", int(self.grid_ceiling))
 
     @property
     def axis_names(self) -> tuple[str, ...]:
@@ -161,8 +159,8 @@ def grid_scan(spec: ScanSpec) -> ScanResult:
     """
     axes = spec.axis_names
     total = math.prod(spec.ranges[name].steps for name in axes)
-    if total > spec.grid_ceiling:
-        raise CapacityError(f"grid has {total} points, exceeding ceiling {spec.grid_ceiling}")
+    if total > GRID_CEILING:
+        raise CapacityError(f"grid has {total} points, exceeding ceiling {GRID_CEILING}")
     points = np.array(list(itertools.product(*(spec.ranges[name].grid() for name in axes))))
     named = [dict(zip(axes, row)) for row in points.tolist()]
     try:
@@ -204,7 +202,8 @@ def refine(
     fixed values, window, and convention); ``objective_fn`` is a seam for
     injecting a synthetic objective in tests.  Points outside ``bounds`` are
     clamped before evaluation and penalized by their clamping distance, so
-    reported points always satisfy the bounds.
+    reported points always satisfy the bounds.  It converges once the simplex's
+    values agree to ``ftol`` and its vertices to _SIMPLEX_TOL of a step.
     """
     if not start_point:
         raise DomainError("start_point must name at least one parameter")
@@ -231,6 +230,7 @@ def refine(
     lo = np.array([bounds[n][0] if bounds and n in bounds else -np.inf for n in names])
     hi = np.array([bounds[n][1] if bounds and n in bounds else np.inf for n in names])
     x0 = np.array([float(start_point[n]) for n in names])
+    steps = np.array([float(step_scales[n]) for n in names])
     for name, x, a, b in zip(names, x0, lo, hi):
         if not a <= x <= b:
             raise StartOutsideBounds(name, f"start {name} = {x} lies outside the box [{a}, {b}]")
@@ -248,13 +248,9 @@ def refine(
 
     dim = len(names)
     simplex = [x0]
-    for i in range(dim):
-        step = float(step_scales[names[i]])
+    for i, step in enumerate(steps):
         vertex = x0.copy()
-        if vertex[i] + step <= hi[i]:
-            vertex[i] += step
-        else:
-            vertex[i] -= step
+        vertex[i] += step if x0[i] + step <= hi[i] else -step
         simplex.append(vertex)
     values = np.array([evaluate(vertex) for vertex in simplex])
 
@@ -264,8 +260,8 @@ def refine(
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
         values = values[order]
-        spread = abs(values[-1] - values[0])
-        if spread <= ftol * (abs(values[0]) + abs(values[-1]) + 1e-30):
+        flat = abs(values[-1] - values[0]) <= ftol * (abs(values[0]) + abs(values[-1]) + 1e-30)
+        if flat and np.abs(np.subtract(simplex[1:], simplex[0]) / steps).max() <= _SIMPLEX_TOL:
             converged = True
             break
         centroid = np.mean(simplex[:-1], axis=0)

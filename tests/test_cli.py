@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rabi_ent import config
 from rabi_ent.cli import _csv_pieces, build_parser, load_preset, main, preset_name
 from rabi_ent.config import (
     SCHEMA,
@@ -382,20 +384,23 @@ def test_numeric_domain_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "domain error" in capsys.readouterr().err
 
 
-def test_capacity_error_exit_code(tmp_path, monkeypatch):
+def test_capacity_error_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(
         tmp_path / "cfg.json",
         {
             "scan": {
-                "ranges": {"beta": {"min": 0.0, "max": 0.5, "steps": 40}},
-                "fixed": {"ratio_r": 0.2, "kappa0": 0.0, "alpha_sq": 4.0},
+                "ranges": {
+                    "beta": {"min": 0.0, "max": 0.5, "steps": 101},
+                    "alpha_sq": {"min": 1.0, "max": 9.0, "steps": 199},
+                },
+                "fixed": {"ratio_r": 0.2, "kappa0": 0.0},
                 "horizon": 10.0,
-                "grid_ceiling": 10,
             }
         },
     )
     assert main(["scan", "--config", cfg]) == 4
+    assert "grid has 20099 points, exceeding ceiling 20000" in capsys.readouterr().err
 
 
 def test_unknown_figure_and_panel(tmp_path, monkeypatch):
@@ -490,8 +495,10 @@ _REJECTIONS = [
     _case("spectrum", "spectrum.n_top", 4, 2, "spectrum"),
     _case("oracle", "ed.nmax", 4, 2, "ed"),
     _case("oracle", "ed.variant", "half_sum", 2, "ed"),
+    _case("oracle", "ed.dim_ceiling", "8192", 2, "ed"),
     _case("jc", "jc.omega", 1.0, 2, "jc"),
     _case("scan", "scan.range", {}, 2, "scan"),
+    _case("scan", "scan.grid_ceiling", 1e4, 2, "scan"),
     _case("scan", "scan.ranges.beta.step", 3, 2, "scan.ranges.beta"),
     _case("scan", "scan.refine.maxiter", 3, 2, "scan.refine"),
     _case("tprob", "output.file", "x.csv", 2, "output"),
@@ -526,10 +533,8 @@ _REJECTIONS = [
     _case("spectrum", "spectrum.n_max", 5.0, 2, "spectrum.n_max"),
     _case("oracle", "ed.n_max", 8.0, 2, "ed.n_max"),
     _case("oracle", "ed.initial_fock", 1.5, 2, "ed.initial_fock"),
-    _case("oracle", "ed.dim_ceiling", "8192", 2, "ed.dim_ceiling"),
     _case("scan", "scan.ranges.beta.steps", 3.0, 2, "scan.ranges.beta.steps"),
     _case("scan", "scan.time_points", 5.0, 2, "scan.time_points"),
-    _case("scan", "scan.grid_ceiling", 1e4, 2, "scan.grid_ceiling"),
     _case("scan", "scan.refine.max_iters", 2.0, 2, "scan.refine.max_iters"),
     _case("scan", "scan.refine.ftol", "tiny", 2, "scan.refine.ftol"),
     _case("scan", "scan.fixed.kappa0", "0.02", 2, "scan.fixed.kappa0"),
@@ -602,8 +607,9 @@ _REJECTIONS = [
     _case("jc", "jc.g", 0.0, 3, "g"),
     _case("scan", "scan.refine.step_scales.beta", 0.0, 3, "step_scales"),
     _case("scan", "scan.refine.ftol", -1.0, 3, "ftol"),
-    _case("oracle", "ed.dim_ceiling", 16, 4, "ceiling"),
-    _case("scan", "scan.grid_ceiling", 2, 4, "ceiling"),
+    # past oracle.DIM_CEILING (dim 8196) and scan.GRID_CEILING, before any allocation
+    _case("oracle", "ed.n_max", 2048, 4, "dimension 8196 exceeds the ceiling 8192"),
+    _case("scan", "scan.ranges.beta.steps", 20001, 4, "grid has 20001 points"),
 ]
 
 
@@ -641,6 +647,22 @@ def test_refine_bounds_default_to_the_sweep_range_per_axis():
     options = section(validate_config(cfg), "scan")["refine"]
     assert options["bounds"] == {"beta": (0.35, 0.45), "alpha_sq": (8.0, 10.0)}
     assert (options["max_iters"], options["ftol"]) == (200, 1e-8)
+
+
+def test_scan_reads_each_config_value_at_most_twice(tmp_path, monkeypatch):
+    # once when the config is loaded, once when the command reads it
+    calls = collections.Counter()
+    value = config._value
+
+    def counted(raw, field, path, siblings):
+        calls[path] += 1
+        return value(raw, field, path, siblings)
+
+    monkeypatch.setattr(config, "_value", counted)
+    beta_scan = Path(__file__).resolve().parents[1] / "configs" / "beta_scan.json"
+    assert main(["scan", "--config", str(beta_scan), "--out", str(tmp_path / "s.csv")]) == 0
+    assert calls["scan.refine.step_scales.beta"] == 2
+    assert {path for path, n in calls.items() if n > 2} == set()
 
 
 def _readme_schema_block() -> dict:

@@ -25,6 +25,7 @@ from rabi_ent import (
     transition_prob,
 )
 from rabi_ent.dynamics import _PHASE_BLOCK
+from rabi_ent import oracle
 from rabi_ent.oracle import PRUNE_BOUND, TRUNCATION_MARGIN, _checked_eigh
 
 BELL_SYMMETRIC = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
@@ -84,24 +85,28 @@ def test_antisymmetric_sector_decouples():
     assert np.all(np.diag(inner, 1) == 0.0)
 
 
-def test_hamiltonian_symmetric_and_capacity():
+def test_hamiltonian_symmetric_and_capacity(monkeypatch):
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1)
     h = build_hamiltonian(params, EDConfig(n_max=20))
     assert np.array_equal(h, h.T)
+    with pytest.raises(CapacityError, match=r"^dimension 8196 exceeds the ceiling 8192$"):
+        build_hamiltonian(params, EDConfig(n_max=2048))
+    monkeypatch.setattr(oracle, "DIM_CEILING", 404)
+    assert build_hamiltonian(params, EDConfig(n_max=100)).shape == (404, 404)
+    monkeypatch.setattr(oracle, "DIM_CEILING", 403)
     with pytest.raises(CapacityError):
-        build_hamiltonian(params, EDConfig(n_max=2500))
-    with pytest.raises(CapacityError):
-        build_hamiltonian(params, EDConfig(n_max=100, dim_ceiling=400))
-    assert build_hamiltonian(params, EDConfig(n_max=100, dim_ceiling=500)).shape == (404, 404)
+        build_hamiltonian(params, EDConfig(n_max=100))
 
 
-def test_evolve_capacity_bounds_the_requested_cutoff_not_the_rerun():
+def test_evolve_capacity_bounds_the_requested_cutoff_not_the_rerun(monkeypatch):
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1)
     n = required_n_max(params.alpha_sq)
-    result = evolve(params, EDConfig(n_max=n, dim_ceiling=4 * (n + 1)), [0.0, 1.0])
+    monkeypatch.setattr(oracle, "DIM_CEILING", 4 * (n + 1))
+    result = evolve(params, EDConfig(n_max=n), [0.0, 1.0])
     assert result.truncation_error is not None
+    monkeypatch.setattr(oracle, "DIM_CEILING", 4 * (n + 1) - 1)
     with pytest.raises(CapacityError):
-        evolve(params, EDConfig(n_max=n, dim_ceiling=4 * (n + 1) - 1), [0.0, 1.0])
+        evolve(params, EDConfig(n_max=n), [0.0, 1.0])
 
 
 def test_eigendecompose_two_by_two():

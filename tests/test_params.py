@@ -140,15 +140,7 @@ INTEGER_SITES = {
         "steps must be an integer",
     ),
     "ScanSpec.time_points": (lambda x: scan_spec(time_points=x), "time_points must be an integer"),
-    "ScanSpec.grid_ceiling": (
-        lambda x: scan_spec(grid_ceiling=x),
-        "grid_ceiling must be an integer",
-    ),
     "EDConfig.n_max": (lambda x: EDConfig(n_max=x), "n_max must be an integer"),
-    "EDConfig.dim_ceiling": (
-        lambda x: EDConfig(n_max=4, dim_ceiling=x),
-        "dim_ceiling must be an integer",
-    ),
     "evolve.initial_fock": (
         lambda x: evolve(
             make(), EDConfig(n_max=4), [0.0], initial_fock=x, compute_truncation_error=False
@@ -291,8 +283,8 @@ def test_checked_scalars_are_stored_as_python_floats_and_ints():
     axis = AxisRange(min=np.float32(0.5), max=3, steps=np.float64(3.0))
     assert (type(axis.min), type(axis.max), type(axis.steps)) == (float, float, int)
     assert axis.grid().dtype == np.float64
-    spec = scan_spec(horizon=np.float32(0.5), grid_ceiling=np.int64(10))
-    assert (type(spec.horizon), type(spec.grid_ceiling)) == (float, int)
-    assert type(EDConfig(n_max=4, dim_ceiling=np.float64(64.0)).dim_ceiling) is int
+    spec = scan_spec(horizon=np.float32(0.5), time_points=np.int64(10))
+    assert (type(spec.horizon), type(spec.time_points)) == (float, int)
+    assert type(EDConfig(n_max=np.float64(4.0)).n_max) is int
     assert aa_columns(make(), 5.0, n_min=np.float32(2.0))["N"].tolist() == [2, 3, 4, 5]
     assert aa_columns(make(), 5.0)["N"].dtype.kind == "i"

@@ -16,7 +16,7 @@ from rabi_ent import (
     refine,
     transition_prob,
 )
-from rabi_ent import dynamics
+from rabi_ent import dynamics, scan
 
 FIG3_FIXED = {"ratio_r": 0.12, "kappa0": 0.02, "alpha_sq": 106.0}
 
@@ -94,14 +94,17 @@ def test_grid_scan_best_is_minimum():
     assert objective(params, 40.0, 300) == result.best_objective
 
 
-def test_grid_scan_ceiling():
+def test_grid_scan_ceiling(monkeypatch):
     spec = ScanSpec(
-        ranges={"beta": AxisRange(0.0, 0.4, 50), "alpha_sq": AxisRange(1.0, 20.0, 50)},
+        ranges={"beta": AxisRange(0.0, 0.4, 5), "alpha_sq": AxisRange(1.0, 20.0, 4)},
         fixed={"ratio_r": 0.2, "kappa0": 0.0},
         horizon=10.0,
-        grid_ceiling=100,
+        time_points=50,
     )
-    with pytest.raises(CapacityError):
+    monkeypatch.setattr(scan, "GRID_CEILING", 20)
+    assert grid_scan(spec).metadata["grid_size"] == 20
+    monkeypatch.setattr(scan, "GRID_CEILING", 19)
+    with pytest.raises(CapacityError, match=r"^grid has 20 points, exceeding ceiling 19$"):
         grid_scan(spec)
 
 
@@ -237,6 +240,18 @@ def test_refine_keeps_a_nan_objective_out_of_the_trace():
     assert all(map(math.isfinite, values))
     assert result.trace[0] == ({"beta": seen[1]}, (seen[1] - 0.1) ** 2)
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("nan_first", [False, True], ids=["plain", "nan-first"])
+def test_refine_converges_only_once_the_simplex_has_shrunk(nan_first):
+    # the simplex first reaches equal values with its vertices at 0 and 0.2 (0.05 and
+    # 0.15 after a NaN start), straddling the minimum a whole step wide
+    def quad(point):
+        return math.nan if nan_first and point["beta"] == 0.8 else (point["beta"] - 0.1) ** 2
+
+    result = refine({"beta": 0.8}, {"beta": 0.1}, ftol=1e-12, objective_fn=quad)
+    assert result.metadata["converged"]
+    assert result.best_point["beta"] == pytest.approx(0.1, abs=1e-4 * 0.1)
 
 
 def test_refine_with_no_finite_objective_raises_domain_error():
