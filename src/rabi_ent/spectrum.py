@@ -67,9 +67,9 @@ def aa_columns(params: ModelParams, n_max: int, n_min: int = 0) -> dict[str, np.
     n_min, n_max = int(n_min), int(n_max)
     b2 = params.beta * params.beta
     k_eff = effective_kappa(params)
-    n = np.arange(n_min, n_max + 1)
     lag1 = laguerre_sequence(n_max, b2)[n_min:]
     lag2 = laguerre_sequence(n_max, 4.0 * b2)[n_min:]
+    n = np.arange(n_min, n_max + 1)
     om1 = -(params.ratio_r / _SQRT2) * math.exp(-0.5 * b2) * lag1
     om2 = -k_eff * math.exp(-2.0 * b2) * lag2
     t0 = -b2 + k_eff + om2

@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rabi_ent import config
+from rabi_ent import config, oracle, scan, specialfn
 from rabi_ent.cli import _csv_pieces, build_parser, load_preset, main, preset_name
 from rabi_ent.config import (
     SCHEMA,
@@ -685,3 +686,78 @@ def test_readme_schema_block_is_valid_and_names_every_key():
                 walk(spec.value, item, f"{path}{name}.")
 
     walk(SCHEMA, block, "")
+
+
+def _readme_capacity_row(guard: str) -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (row,) = [line for line in readme.splitlines() if line.strip().startswith(f"| {guard}")]
+    return [cell.strip().strip("`").replace(",", "") for cell in row.strip().strip("|").split("|")]
+
+
+# One row per guard of the README's *Capacity limits* table: the limit the
+# code holds, and a config one past it that must exit with the table's code.
+_CAPACITY_LIMITS = [
+    pytest.param(
+        "Laguerre degree",
+        specialfn.MAX_LAGUERRE_DEGREE,
+        "spectrum",
+        _edited("spectrum", "spectrum.n_max", specialfn.MAX_LAGUERRE_DEGREE + 1),
+        "degree must be an integer in [0, 1000000]",
+        id="laguerre-degree",
+    ),
+    pytest.param(
+        "Poisson table entries",
+        2 * 10**6,
+        "tprob",
+        _edited("tprob", "model.alpha_sq", 1e7),
+        "Poisson table would exceed 2e6 entries",
+        id="poisson-table",
+    ),
+    pytest.param(
+        "time points",
+        SCHEMA["time_grid"]["points"].le,
+        "tprob",
+        _edited("tprob", "time_grid.points", 10**7 + 1),
+        "time_grid.points: must be <= 10000000",
+        id="time-points",
+    ),
+    pytest.param(
+        "oracle dimension",
+        oracle.DIM_CEILING,
+        "oracle",
+        _edited("oracle", "ed.n_max", 2048),
+        "dimension 8196 exceeds the ceiling 8192",
+        id="oracle-dimension",
+    ),
+    pytest.param(
+        "scan grid points",
+        scan.GRID_CEILING,
+        "scan",
+        _edited("scan", "scan.ranges.beta.steps", 20001),
+        "grid has 20001 points, exceeding ceiling 20000",
+        id="scan-grid",
+    ),
+]
+
+
+@pytest.mark.parametrize("guard, limit, command, cfg, message", _CAPACITY_LIMITS)
+def test_readme_capacity_limits_match_the_guards(
+    tmp_path, monkeypatch, capsys, guard, limit, command, cfg, message
+):
+    _, shown, exit_code = _readme_capacity_row(guard)
+    base, _, power = shown.partition("**")
+    assert (int(base) ** int(power) if power else int(float(base))) == limit
+    assert SCHEMA["scan"]["time_points"].le == SCHEMA["time_grid"]["points"].le
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", cfg_path, "--out", "out.csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == int(exit_code)
+    assert message in capsys.readouterr().err
+    # rejected before the work it bounds allocates: one past any of these
+    # limits would take at least 8 MB
+    assert peak < 2**20

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -277,6 +278,15 @@ def test_refine_rejects_a_zero_step_and_a_negative_ftol(kwargs, message):
     args = {"start_point": {"beta": 0.5}, "step_scales": {"beta": 0.1}, **kwargs}
     with pytest.raises(DomainError, match=message):
         refine(**args, objective_fn=quadratic)
+
+
+def test_capacity_ceilings_are_constants_not_inputs():
+    assert [f.name for f in dataclasses.fields(EDConfig)] == ["n_max"]
+    assert "grid_ceiling" not in {f.name for f in dataclasses.fields(ScanSpec)}
+    with pytest.raises(TypeError, match="dim_ceiling"):
+        EDConfig(n_max=4, dim_ceiling=8192)
+    with pytest.raises(TypeError, match="grid_ceiling"):
+        scan_spec(grid_ceiling=20000)
 
 
 def test_checked_scalars_are_stored_as_python_floats_and_ints():
