@@ -18,12 +18,10 @@ from .params import KappaConvention, ModelParams, SpinState, effective_kappa
 from .specialfn import (
     DEFAULT_TAIL_TOL,
     LogWeightTable,
-    displaced_overlap,
-    laguerre,
     laguerre_sequence,
     poisson_logweights,
 )
-from .spectrum import AASpectrumRow, aa_row, aa_rows, omega_1N, omega_2N
+from .spectrum import AASpectrumRow, aa_row, aa_rows
 from .dynamics import (
     TimeSeries,
     jc_inversion,
@@ -32,10 +30,8 @@ from .dynamics import (
     two_branch_interference_check,
 )
 from .oracle import (
-    EDConfig,
     EDResult,
     build_hamiltonian,
-    coherent_amplitudes,
     concurrence,
     eigendecompose,
     evolve,
@@ -52,7 +48,6 @@ __all__ = [
     "ConfigError",
     "DEFAULT_TAIL_TOL",
     "DomainError",
-    "EDConfig",
     "EDResult",
     "KappaConvention",
     "LogWeightTable",
@@ -65,19 +60,14 @@ __all__ = [
     "aa_row",
     "aa_rows",
     "build_hamiltonian",
-    "coherent_amplitudes",
     "concurrence",
-    "displaced_overlap",
     "effective_kappa",
     "eigendecompose",
     "evolve",
     "grid_scan",
     "jc_inversion",
-    "laguerre",
     "laguerre_sequence",
     "objective",
-    "omega_1N",
-    "omega_2N",
     "poisson_logweights",
     "refine",
     "required_n_max",

@@ -29,7 +29,7 @@ from .config import (
 )
 from .dynamics import jc_inversion, transition_prob
 from .errors import CapacityError, ConfigError, DomainError
-from .oracle import EDConfig, evolve, required_n_max
+from .oracle import evolve, required_n_max
 from .scan import StartOutsideBounds, grid_scan, refine
 from .spectrum import aa_columns
 from .specialfn import poisson_logweights
@@ -125,10 +125,9 @@ def _oracle(cfg: dict):
     times = times_from_config(cfg)
     ed = section(cfg, "ed")
     n_max = required_n_max(params.alpha_sq) if ed["n_max"] is None else ed["n_max"]
-    config = EDConfig(n_max=n_max)
     result = evolve(
         params,
-        config,
+        n_max,
         times,
         initial_spin=ed["initial_spin"],
         initial_fock=ed["initial_fock"],
@@ -138,7 +137,7 @@ def _oracle(cfg: dict):
     conc = result.concurrence.channels["C"]
     columns = (times, pops["P11"], pops["P1m1"], pops["P10"], pops["P00"], conc)
     summary = {
-        "n_max": config.n_max,
+        "n_max": n_max,
         "truncation_error": result.truncation_error,
     }
     note = f"({times.size} rows); truncation_error = {result.truncation_error}"

@@ -240,10 +240,6 @@ def times_from_config(cfg: dict) -> np.ndarray:
     return np.linspace(grid["t_min"], grid["t_max"], grid["points"])
 
 
-def scanspec_from_config(cfg: dict) -> ScanSpec:
-    return _scanspec(section(cfg, "scan", required=True), section(cfg, "tail_tol"))
-
-
 def _scanspec(scan: dict, tail_tol: float) -> ScanSpec:
     """The ScanSpec of a ``section(cfg, "scan")``."""
     try:

@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Requested problem size exceeds a configured ceiling."""
+    """Requested problem size exceeds one of the package's fixed size ceilings."""
 
 
 class ConfigError(ValueError):

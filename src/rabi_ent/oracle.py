@@ -11,19 +11,19 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import _PHASE_BLOCK, TimeSeries, _as_times, _phase_blocks
 from .errors import CapacityError, DomainError, TruncationWarning
-from .params import ModelParams, SpinState, _is_integer, _is_real, effective_kappa
+from .params import ModelParams, SpinState, _is_integer, effective_kappa
 from .specialfn import poisson_logpmf
 
 SPIN_DIM = 4
 TRUNCATION_MARGIN = 20
 DIM_CEILING = 8192  # largest 4 * (n_max + 1) the oracle admits; its truncation re-run may pass it
-# evolution leaves out what moves no amplitude by more than this (see _evolve_amplitudes)
+# evolution leaves out what moves no amplitude by more than this (see _evolution)
 PRUNE_BOUND = 1e-15
 
 # composite spin basis order used throughout: |1,1>, |1,-1>, |1,0>, |0,0>
@@ -72,22 +72,6 @@ _SYSY = np.array(
 
 
 @dataclass(frozen=True)
-class EDConfig:
-    """Fock truncation of the dense oracle."""
-
-    n_max: int
-
-    def __post_init__(self) -> None:
-        if not (_is_integer(self.n_max) and self.n_max >= 0):
-            raise DomainError(f"n_max must be an integer >= 0, got {self.n_max!r}")
-        object.__setattr__(self, "n_max", int(self.n_max))
-
-    @property
-    def dim(self) -> int:
-        return SPIN_DIM * (self.n_max + 1)
-
-
-@dataclass(frozen=True)
 class EDResult:
     """Eigendecomposition summary plus time-evolved observables.
 
@@ -110,12 +94,17 @@ def required_n_max(alpha_sq: float) -> int:
     return math.ceil(alpha_sq + 10.0 * math.sqrt(alpha_sq + 1.0))
 
 
-def _check_capacity(config: EDConfig) -> None:
-    if config.dim > DIM_CEILING:
-        raise CapacityError(f"dimension {config.dim} exceeds the ceiling {DIM_CEILING}")
+def _checked_n_max(n_max) -> int:
+    """``n_max`` as an int, once it is an integer >= 0 whose dimension fits DIM_CEILING."""
+    if not (_is_integer(n_max) and n_max >= 0):
+        raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
+    dim = SPIN_DIM * (int(n_max) + 1)
+    if dim > DIM_CEILING:
+        raise CapacityError(f"dimension {dim} exceeds the ceiling {DIM_CEILING}")
+    return int(n_max)
 
 
-def build_hamiltonian(params: ModelParams, config: EDConfig) -> np.ndarray:
+def build_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
     """Dense real symmetric Hamiltonian, basis (composite spin) x (Fock number).
 
     Blocks: oscillator energy, the sector-displacing coupling beta*(a + a^dag)
@@ -123,8 +112,7 @@ def build_hamiltonian(params: ModelParams, config: EDConfig) -> np.ndarray:
     coupling.  The |0,0> spin sector couples to nothing.  The literal sz1 + sz2
     reading is this Hamiltonian at 2 * beta, bit for bit.
     """
-    _check_capacity(config)
-    n_osc = config.n_max + 1
+    n_osc = _checked_n_max(n_max) + 1
     eye_osc = np.eye(n_osc)
     ladder = np.diag(np.sqrt(np.arange(1.0, n_osc)), 1)
     number_op = np.diag(np.arange(float(n_osc)))
@@ -141,7 +129,7 @@ def _parity_signs(n_osc: int, parity: int) -> np.ndarray:
     return np.where((np.arange(n_osc) + parity) % 2 == 0, 1.0, -1.0)
 
 
-def _parity_block(params: ModelParams, config: EDConfig, parity: int):
+def _parity_block(params: ModelParams, n_max: int, parity: int):
     """The triplet part of ``build_hamiltonian`` with parity (-1)^parity: the dense block
     h and ``v -> h @ v`` from h's at most three nonzeros per row, O(dim) per column.
 
@@ -150,7 +138,7 @@ def _parity_block(params: ModelParams, config: EDConfig, parity: int):
     e_n = (-1)^(n + parity), then |1,0>|m> for m = parity, parity + 2, ...;
     the couplings are s_n-s_(n+1) (oscillator) and s_m-|1,0>|m> (transverse).
     """
-    n_osc = config.n_max + 1
+    n_osc = n_max + 1
     ms = np.arange(parity, n_osc, 2)
     kappa = effective_kappa(params)
     s, t = np.arange(n_osc), n_osc + np.arange(ms.size)
@@ -207,15 +195,6 @@ def eigendecompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _checked_eigh(h, h.__matmul__)
 
 
-def coherent_amplitudes(alpha_sq: float, n_max: int) -> np.ndarray:
-    """Fock amplitudes of |alpha> with alpha = sqrt(alpha_sq), real and positive."""
-    if not (_is_real(alpha_sq) and alpha_sq >= 0.0):
-        raise DomainError(f"alpha_sq must be a real number >= 0, got {alpha_sq!r}")
-    if not (_is_integer(n_max) and n_max >= 0):
-        raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
-    return np.exp(0.5 * poisson_logpmf(float(alpha_sq), int(n_max)))
-
-
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Wootters concurrence of two-qubit density matrices (product basis).
 
@@ -248,19 +227,20 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
 
 def _initial_vector(
     params: ModelParams,
-    config: EDConfig,
+    n_max: int,
     initial_spin: SpinState,
     initial_fock: int | None,
 ) -> np.ndarray:
-    psi0 = np.zeros((SPIN_DIM, config.n_max + 1))
+    psi0 = np.zeros((SPIN_DIM, n_max + 1))
     sector = _SPIN_INDEX[initial_spin]
     if initial_fock is None:
-        if config.n_max < required_n_max(params.alpha_sq):
+        if n_max < required_n_max(params.alpha_sq):
             raise DomainError(
-                f"n_max={config.n_max} below the coherent-state requirement "
+                f"n_max={n_max} below the coherent-state requirement "
                 f"{required_n_max(params.alpha_sq)} for alpha_sq={params.alpha_sq}"
             )
-        amps = coherent_amplitudes(params.alpha_sq, config.n_max)
+        # the Fock amplitudes of |alpha>, alpha = sqrt(alpha_sq) real and positive
+        amps = np.exp(0.5 * poisson_logpmf(params.alpha_sq, n_max))
         norm = float(np.linalg.norm(amps))
         if norm < 1.0 - 1e-12:
             raise DomainError(
@@ -268,9 +248,9 @@ def _initial_vector(
             )
         psi0[sector] = amps
     else:
-        if not (_is_integer(initial_fock) and 0 <= initial_fock <= config.n_max):
+        if not (_is_integer(initial_fock) and 0 <= initial_fock <= n_max):
             raise DomainError(
-                f"initial_fock must be an integer in [0, {config.n_max}], got {initial_fock!r}"
+                f"initial_fock must be an integer in [0, {n_max}], got {initial_fock!r}"
             )
         psi0[sector, int(initial_fock)] = 1.0
     return psi0
@@ -292,12 +272,12 @@ def _span(mask: np.ndarray) -> slice:
 
 def _evolution(
     params: ModelParams,
-    config: EDConfig,
+    n_max: int,
     times: np.ndarray,
     psi0: np.ndarray,
 ) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray]]]:
     """The full sorted spectrum, and the real and imaginary parts of the sector amplitudes
-    evolved from ``psi0`` (an ``_initial_vector`` at ``config``) as (start, re, im) for
+    evolved from ``psi0`` (an ``_initial_vector`` at ``n_max``) as (start, re, im) for
     times[start : start + rows], one block of at most _PHASE_BLOCK rows at a time, re and
     im of shape (rows, 4, n_osc).
 
@@ -310,14 +290,14 @@ def _evolution(
     the |0,0> sector has energies n + k_eff and needs none.  Every block is written
     into the same two buffers: a block is valid until the next one is drawn.
     """
-    n_osc = config.n_max + 1
+    n_osc = n_max + 1
     spectra = [np.arange(n_osc) + effective_kappa(params)]
     singlet = _phase_blocks(-spectra[0], times) if psi0[3].any() else None
     parts = []
     for parity in (0, 1):
         signs = _parity_signs(n_osc, parity)
         psi = np.concatenate([(psi0[0] + signs * psi0[1]) * _SQRT_HALF, psi0[2, parity::2]])
-        evals, evecs = _checked_eigh(*_parity_block(params, config, parity))
+        evals, evecs = _checked_eigh(*_parity_block(params, n_max, parity))
         spectra.append(evals)
         coeff = evecs.T @ psi
         kept = _kept(np.abs(coeff))
@@ -362,7 +342,7 @@ def _populations(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def evolve(
     params: ModelParams,
-    config: EDConfig,
+    n_max: int,
     times,
     *,
     initial_spin: SpinState = SpinState.J1M0,
@@ -375,7 +355,7 @@ def evolve(
     By default the initial state is |1,0> (x) |alpha> with alpha =
     sqrt(alpha_sq) taken real; pass ``initial_fock`` to start from a bare
     number state instead.  Evolution is by spectral decomposition, exact
-    up to the Fock truncation, whose effect is measured by re-running with
+    up to the Fock truncation at ``n_max`` photons, whose effect is measured by re-running with
     n_max + 20 unless ``compute_truncation_error`` is off, and up to the
     eigencomponents and rows left out as below PRUNE_BOUND, which move no
     amplitude by more than 2 * PRUNE_BOUND.  Each block of _PHASE_BLOCK times is reduced
@@ -385,18 +365,18 @@ def evolve(
     first, so that the peak memory is one eigh of its larger block.
     """
     times = _as_times(times)
-    _check_capacity(config)
-    psi0 = _initial_vector(params, config, initial_spin, initial_fock)
+    n_max = _checked_n_max(n_max)
+    psi0 = _initial_vector(params, n_max, initial_spin, initial_fock)
     pops_big = None
     if compute_truncation_error:
-        bigger = replace(config, n_max=config.n_max + TRUNCATION_MARGIN)
+        bigger = n_max + TRUNCATION_MARGIN
         psi_big = _initial_vector(params, bigger, initial_spin, initial_fock)
         blocks = _evolution(params, bigger, times, psi_big)[1]
         pops_big = np.hstack([_populations(re, im) for _, re, im in blocks])
-    evals, blocks = _evolution(params, config, times, psi0)
+    evals, blocks = _evolution(params, n_max, times, psi0)
     pops = np.empty((SPIN_DIM, times.size))
     rho = np.empty((times.size, SPIN_DIM, SPIN_DIM), dtype=complex)
-    states = np.empty((SPIN_DIM, config.n_max + 1, times.size), complex) if keep_states else None
+    states = np.empty((SPIN_DIM, n_max + 1, times.size), complex) if keep_states else None
     for start, re, im in blocks:
         rows = slice(start, start + len(re))
         pops[:, rows] = _populations(re, im)
@@ -415,7 +395,7 @@ def evolve(
         if truncation_error > 1e-6:
             warnings.warn(
                 f"truncation error {truncation_error:.3e} exceeds 1e-6; "
-                f"increase n_max beyond {config.n_max}",
+                f"increase n_max beyond {n_max}",
                 TruncationWarning,
                 stacklevel=2,
             )

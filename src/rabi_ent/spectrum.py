@@ -7,8 +7,7 @@ the symmetric combination and |1,0>|N_0> form a two-level system whose
 branches sit at ``eplus``/``eminus`` and oscillate at ``rabi_freq``.
 
 :func:`aa_columns` computes every field for a range of N as numpy columns;
-:func:`aa_row`, :func:`aa_rows`, :func:`omega_1N` and :func:`omega_2N` are
-views over those columns.
+:func:`aa_row` and :func:`aa_rows` are views over those columns.
 """
 
 from __future__ import annotations
@@ -130,20 +129,3 @@ def aa_row(N: int, params: ModelParams) -> AASpectrumRow:
     if not (_is_integer(N) and N >= 0):
         raise DomainError(f"N must be a nonnegative integer, got {N!r}")
     return aa_rows(params, int(N), int(N))[0]
-
-
-def omega_1N(N: int, params: ModelParams) -> float:
-    """Coupling of |1,0>|N_0> to each outer displaced sector, in oscillator units.
-
-    Equals -(ratio_r/sqrt(2)) * exp(-beta^2/2) * L_N(beta^2).
-    """
-    return aa_row(N, params).omega1N
-
-
-def omega_2N(N: int, params: ModelParams) -> float:
-    """Direct coupling between the two outer displaced sectors.
-
-    Equals -kappa_eff * exp(-2 beta^2) * L_N(4 beta^2), with kappa_eff from
-    :func:`effective_kappa`.
-    """
-    return aa_row(N, params).omega2N

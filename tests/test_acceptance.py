@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from rabi_ent import (
-    EDConfig,
     KappaConvention,
     ModelParams,
     ScanSpec,
@@ -208,7 +207,7 @@ def test_criterion_5_ed_oracle_soundness():
     worst_drift = 0.0
     worst_truncation = 0.0
     for params in desk_cases:
-        config = EDConfig(n_max=80)
+        config = 80
         result = evolve(params, config, times, keep_states=True)
         pops = result.populations.channels
         total = pops["P11"] + pops["P1m1"] + pops["P10"] + pops["P00"]
@@ -221,7 +220,7 @@ def test_criterion_5_ed_oracle_soundness():
         worst_truncation = max(worst_truncation, result.truncation_error)
     stationary = evolve(
         desk_cases[0],
-        EDConfig(n_max=80),
+        80,
         times,
         initial_spin=SpinState.J0M0,
         initial_fock=12,
@@ -261,7 +260,7 @@ def test_criterion_6_aa_vs_ed_cross_validation():
     for reading, scale in (("half_sum", 1.0), ("pauli_sum", 2.0)):
         result = evolve(
             replace(params, beta=scale * params.beta),
-            EDConfig(n_max=60),
+            60,
             times,
             compute_truncation_error=False,
         )
@@ -311,7 +310,7 @@ def test_criterion_7_jc_collapse_and_revival():
 def test_criterion_8_no_sudden_death_desk_scale():
     params = ModelParams(ratio_r=0.2, beta=0.4717, kappa0=-0.7, alpha_sq=16.0)
     times = np.linspace(0.0, 400.0, 401)
-    result = evolve(params, EDConfig(n_max=80), times, compute_truncation_error=False)
+    result = evolve(params, 80, times, compute_truncation_error=False)
     conc = result.concurrence.channels["C"]
     min_c = float(conc.min())
     ok = min_c > 0.0

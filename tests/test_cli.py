@@ -17,11 +17,10 @@ from rabi_ent.config import (
     SCHEMA,
     MapOf,
     load_config,
-    scanspec_from_config,
     section,
     validate_config,
 )
-from rabi_ent.scan import grid_scan
+from rabi_ent.scan import ScanSpec, grid_scan
 
 AA_VALID_MODEL = {"ratio_r": 0.05, "beta": 0.2, "kappa0": 0.0, "alpha_sq": 9.0}
 
@@ -213,7 +212,7 @@ def test_scan_with_no_swept_axis_writes_only_the_objective(tmp_path, monkeypatch
     }
     path = write_config(tmp_path / "cfg.json", payload)
     assert main(["scan", "--config", path, "--out", "s.csv"]) == 0
-    result = grid_scan(scanspec_from_config(validate_config(payload)))
+    result = grid_scan(ScanSpec(**payload["scan"]))
     expected = per_value_csv(("objective",), (result.objectives,))
     assert (tmp_path / "s.csv").read_text() == expected
     assert expected.count("\n") == 2

@@ -11,12 +11,10 @@ from rabi_ent import (
     AdiabaticRegimeWarning,
     CapacityError,
     DomainError,
-    EDConfig,
     ModelParams,
     SpinState,
     TruncationWarning,
     build_hamiltonian,
-    coherent_amplitudes,
     concurrence,
     eigendecompose,
     evolve,
@@ -40,7 +38,7 @@ def quiet_params(**kwargs):
 
 def test_free_oscillator_spectrum():
     params = quiet_params(ratio_r=0.0, beta=0.0, kappa0=0.0)
-    h = build_hamiltonian(params, EDConfig(n_max=12))
+    h = build_hamiltonian(params, 12)
     evals, _ = eigendecompose(h)
     expected = np.repeat(np.arange(13.0), 4)
     assert evals == pytest.approx(expected, abs=1e-12)
@@ -51,7 +49,7 @@ def test_displaced_oscillator_spectrum_half_sum():
     beta = 0.35
     params = quiet_params(ratio_r=0.0, beta=beta, kappa0=0.0)
     n_max = 40
-    h = build_hamiltonian(params, EDConfig(n_max=n_max))
+    h = build_hamiltonian(params, n_max)
     evals, _ = eigendecompose(h)
     towers = sorted(
         [n - beta * beta for n in range(n_max + 1)] * 2
@@ -66,7 +64,7 @@ def test_displaced_oscillator_spectrum_pauli_sum():
     # the literal sz1 + sz2 reading is the oracle at 2 * beta
     beta = 0.35
     params = quiet_params(ratio_r=0.0, beta=2.0 * beta, kappa0=0.0)
-    evals, _ = eigendecompose(build_hamiltonian(params, EDConfig(n_max=40)))
+    evals, _ = eigendecompose(build_hamiltonian(params, 40))
     towers = sorted(
         [n - 4.0 * beta * beta for n in range(41)] * 2 + [float(n) for n in range(41)] * 2
     )
@@ -75,9 +73,9 @@ def test_displaced_oscillator_spectrum_pauli_sum():
 
 def test_antisymmetric_sector_decouples():
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=4.0)
-    config = EDConfig(n_max=30)
-    h = build_hamiltonian(params, config)
-    n_osc = config.n_max + 1
+    n_max = 30
+    h = build_hamiltonian(params, n_max)
+    n_osc = n_max + 1
     block = h[3 * n_osc :, : 3 * n_osc]
     assert np.all(block == 0.0)
     # inside the sector: a bare displaced-free oscillator plus constant shift
@@ -87,26 +85,26 @@ def test_antisymmetric_sector_decouples():
 
 def test_hamiltonian_symmetric_and_capacity(monkeypatch):
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1)
-    h = build_hamiltonian(params, EDConfig(n_max=20))
+    h = build_hamiltonian(params, 20)
     assert np.array_equal(h, h.T)
     with pytest.raises(CapacityError, match=r"^dimension 8196 exceeds the ceiling 8192$"):
-        build_hamiltonian(params, EDConfig(n_max=2048))
+        build_hamiltonian(params, 2048)
     monkeypatch.setattr(oracle, "DIM_CEILING", 404)
-    assert build_hamiltonian(params, EDConfig(n_max=100)).shape == (404, 404)
+    assert build_hamiltonian(params, 100).shape == (404, 404)
     monkeypatch.setattr(oracle, "DIM_CEILING", 403)
     with pytest.raises(CapacityError):
-        build_hamiltonian(params, EDConfig(n_max=100))
+        build_hamiltonian(params, 100)
 
 
 def test_evolve_capacity_bounds_the_requested_cutoff_not_the_rerun(monkeypatch):
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1)
     n = required_n_max(params.alpha_sq)
     monkeypatch.setattr(oracle, "DIM_CEILING", 4 * (n + 1))
-    result = evolve(params, EDConfig(n_max=n), [0.0, 1.0])
+    result = evolve(params, n, [0.0, 1.0])
     assert result.truncation_error is not None
     monkeypatch.setattr(oracle, "DIM_CEILING", 4 * (n + 1) - 1)
     with pytest.raises(CapacityError):
-        evolve(params, EDConfig(n_max=n), [0.0, 1.0])
+        evolve(params, n, [0.0, 1.0])
 
 
 def test_eigendecompose_two_by_two():
@@ -157,27 +155,33 @@ def test_eigendecompose_rejects_bad_input():
         eigendecompose(np.diag([1.0, math.nan]))
 
 
+def _coherent_amplitudes(alpha_sq: float, n_max: int) -> np.ndarray:
+    """The Fock amplitudes of the initial coherent state, the |1,0> row of the oracle's start."""
+    params = ModelParams(ratio_r=0.05, beta=0.2, alpha_sq=alpha_sq)
+    return oracle._initial_vector(params, n_max, SpinState.J1M0, None)[2]
+
+
 def test_coherent_amplitudes_norm_and_values():
-    amps = coherent_amplitudes(9.0, required_n_max(9.0))
+    amps = _coherent_amplitudes(9.0, required_n_max(9.0))
     assert np.linalg.norm(amps) >= 1.0 - 1e-12
     alpha = 3.0
     assert amps[0] == pytest.approx(math.exp(-4.5), rel=1e-13)
     assert amps[2] == pytest.approx(math.exp(-4.5) * alpha**2 / math.sqrt(2.0), rel=1e-13)
-    vacuum = coherent_amplitudes(0.0, 5)
+    vacuum = _coherent_amplitudes(0.0, required_n_max(0.0))
     assert vacuum[0] == 1.0 and np.all(vacuum[1:] == 0.0)
 
 
 @pytest.mark.parametrize("alpha_sq", [0.0, 0.0033, 0.37, 16.0, 106.0, 250.0])
 def test_coherent_amplitudes_are_square_roots_of_the_poisson_table(alpha_sq):
     table = poisson_logweights(alpha_sq)
-    amps = coherent_amplitudes(alpha_sq, table.n_cut)
-    assert np.array_equal(amps, np.exp(0.5 * table.log_p))
+    amps = _coherent_amplitudes(alpha_sq, max(table.n_cut, required_n_max(alpha_sq)))
+    assert np.array_equal(amps[: table.n_cut + 1], np.exp(0.5 * table.log_p))
 
 
 def test_evolve_requires_adequate_cutoff():
     params = ModelParams(ratio_r=0.05, beta=0.2, alpha_sq=9.0)
     with pytest.raises(DomainError):
-        evolve(params, EDConfig(n_max=30), np.linspace(0.0, 1.0, 3))
+        evolve(params, 30, np.linspace(0.0, 1.0, 3))
 
 
 def test_invalid_initial_state_fails_before_any_eigh(monkeypatch):
@@ -186,12 +190,11 @@ def test_invalid_initial_state_fails_before_any_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda h: dims.append(np.ndim(h)) or eigh(h))
     params = ModelParams(ratio_r=0.05, beta=0.2, alpha_sq=9.0)
     n_max = required_n_max(params.alpha_sq) - 1
-    config = EDConfig(n_max=n_max)
     for start in ({"initial_fock": n_max + 1}, {}):
         with pytest.raises(DomainError):
-            evolve(params, config, [0.0, 1.0], compute_truncation_error=True, **start)
+            evolve(params, n_max, [0.0, 1.0], compute_truncation_error=True, **start)
     assert dims == []
-    evolve(params, EDConfig(n_max=n_max + 1), [0.0, 1.0], compute_truncation_error=True)
+    evolve(params, n_max + 1, [0.0, 1.0], compute_truncation_error=True)
     assert dims.count(2) == 4  # two parity blocks in each of the run and the re-run
 
 
@@ -199,7 +202,7 @@ def test_antisymmetric_fock_states_are_stationary():
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=4.0)
     result = evolve(
         params,
-        EDConfig(n_max=40),
+        40,
         np.linspace(0.0, 120.0, 121),
         initial_spin=SpinState.J0M0,
         initial_fock=10,
@@ -219,7 +222,7 @@ def test_zero_coupling_closed_form_populations():
     # P10 = 1 - (1/2)(1 - cos(2 r t)), P11 = P1m1 = (1/4)(1 - cos(2 r t))
     params = ModelParams(ratio_r=0.2, beta=0.0, kappa0=0.0, alpha_sq=9.0)
     times = np.linspace(0.0, 40.0, 161)
-    result = evolve(params, EDConfig(n_max=50), times, compute_truncation_error=False)
+    result = evolve(params, 50, times, compute_truncation_error=False)
     pops = result.populations.channels
     envelope = 1.0 - np.cos(2.0 * 0.2 * times)
     assert pops["P10"] == pytest.approx(1.0 - 0.5 * envelope, abs=1e-10)
@@ -230,13 +233,13 @@ def test_zero_coupling_closed_form_populations():
 
 def test_unitarity_and_energy_conservation():
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=9.0)
-    config = EDConfig(n_max=50)
+    n_max = 50
     times = np.linspace(0.0, 150.0, 151)
-    result = evolve(params, config, times, compute_truncation_error=False, keep_states=True)
+    result = evolve(params, n_max, times, compute_truncation_error=False, keep_states=True)
     pops = result.populations.channels
     total = pops["P11"] + pops["P1m1"] + pops["P10"] + pops["P00"]
     assert np.max(np.abs(total - 1.0)) <= 1e-10
-    h = build_hamiltonian(params, config)
+    h = build_hamiltonian(params, n_max)
     states = result.states
     energies = np.real(np.einsum("it,ij,jt->t", states.conj(), h, states))
     drift = np.ptp(energies)
@@ -245,7 +248,7 @@ def test_unitarity_and_energy_conservation():
 
 def test_truncation_error_reported_and_small():
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=9.0)
-    result = evolve(params, EDConfig(n_max=50), np.linspace(0.0, 60.0, 61))
+    result = evolve(params, 50, np.linspace(0.0, 60.0, 61))
     assert result.truncation_error is not None
     assert result.truncation_error < 1e-8
 
@@ -255,7 +258,7 @@ def test_truncation_warning_fires_for_underresolved_state():
     with pytest.warns(TruncationWarning):
         result = evolve(
             params,
-            EDConfig(n_max=25),
+            25,
             np.linspace(0.0, 60.0, 31),
             initial_fock=24,
         )
@@ -265,15 +268,15 @@ def test_truncation_warning_fires_for_underresolved_state():
 def test_initial_fock_validation():
     params = ModelParams(ratio_r=0.2, beta=0.1)
     with pytest.raises(DomainError):
-        evolve(params, EDConfig(n_max=20), [0.0, 1.0], initial_fock=21)
+        evolve(params, 20, [0.0, 1.0], initial_fock=21)
     with pytest.raises(DomainError):
-        evolve(params, EDConfig(n_max=20), [0.0, 1.0], initial_fock=-1)
+        evolve(params, 20, [0.0, 1.0], initial_fock=-1)
 
 
 def test_initial_state_is_maximally_entangled():
     params = ModelParams(ratio_r=0.05, beta=0.2, alpha_sq=4.0)
     result = evolve(
-        params, EDConfig(n_max=35), np.array([0.0, 0.5]), compute_truncation_error=False
+        params, 35, np.array([0.0, 0.5]), compute_truncation_error=False
     )
     assert result.concurrence.channels["C"][0] == pytest.approx(1.0, abs=1e-12)
 
@@ -282,7 +285,7 @@ def test_ed_tracks_doubled_transition_series_in_aa_regime():
     # the closed-form series T(t) carries half the bright-channel population
     params = ModelParams(ratio_r=0.05, beta=0.2, kappa0=0.0, alpha_sq=9.0)
     times = np.linspace(0.0, 200.0, 401)
-    result = evolve(params, EDConfig(n_max=60), times, compute_truncation_error=False)
+    result = evolve(params, 60, times, compute_truncation_error=False)
     series = transition_prob(params, times).channels["T"]
     gap = np.max(np.abs(result.populations.channels["P11"] - 2.0 * series))
     assert gap <= 0.06  # recorded cross-validation tolerance
@@ -294,8 +297,8 @@ def test_low_spectrum_matches_closed_forms_in_slow_qubit_regime():
     from rabi_ent import aa_rows, effective_kappa
 
     params = ModelParams(ratio_r=0.02, beta=0.2, kappa0=0.1, alpha_sq=0.0)
-    config = EDConfig(n_max=60)
-    exact, _ = eigendecompose(build_hamiltonian(params, config))
+    n_max = 60
+    exact, _ = eigendecompose(build_hamiltonian(params, n_max))
     rows = aa_rows(params, 20)
     k_eff = effective_kappa(params)
     approx = sorted(
@@ -323,7 +326,7 @@ def test_variant_discrimination_stable_across_parameter_set():
         for reading, scale in (("half_sum", 1.0), ("pauli_sum", 2.0)):
             result = evolve(
                 replace(params, beta=scale * params.beta),
-                EDConfig(n_max=n_max),
+                n_max,
                 times,
                 compute_truncation_error=False,
             )
@@ -397,12 +400,18 @@ def test_concurrence_rejects_invalid_density_matrices():
         concurrence(np.eye(2) / 2.0)
 
 
-def test_edconfig_validation():
-    with pytest.raises(DomainError):
-        EDConfig(n_max=-1)
-    with pytest.raises(DomainError):
-        EDConfig(n_max=2.5)
-    assert EDConfig(n_max=10).dim == 44
+def test_n_max_validation():
+    params = ModelParams(ratio_r=0.2, beta=0.1)
+    for run in (
+        lambda n: build_hamiltonian(params, n),
+        lambda n: evolve(params, n, [0.0, 1.0], initial_fock=0),
+    ):
+        for bad in (-1, 2.5):
+            with pytest.raises(DomainError, match="n_max must be an integer >= 0"):
+                run(bad)
+        with pytest.raises(CapacityError, match=r"^dimension 8196 exceeds the ceiling 8192$"):
+            run(2048)
+    assert build_hamiltonian(params, 10).shape == (44, 44)
 
 
 def test_required_n_max_examples():
@@ -445,23 +454,22 @@ def test_parity_blocks_are_projections_of_the_full_hamiltonian(beta_scale, n_max
     from rabi_ent.oracle import _parity_block
 
     params = replace(PARITY_PARAMS, beta=beta_scale * PARITY_PARAMS.beta)
-    config = EDConfig(n_max=n_max)
-    h = build_hamiltonian(params, config)
+    h = build_hamiltonian(params, n_max)
     norm = np.linalg.norm(h, 2)
     even, odd = (_parity_basis(n_max, parity) for parity in (0, 1))
     assert np.all(even[0].T @ h @ odd[0] == 0.0)
     for parity, (basis, scale) in enumerate((even, odd)):
         projector = basis * scale
-        block, _ = _parity_block(params, config, parity)
+        block, _ = _parity_block(params, n_max, parity)
         assert block.shape == (projector.shape[1],) * 2
         assert np.abs(block - projector.T @ h @ projector).max() <= 1e-14 * norm
 
 
 def test_evolve_spectrum_is_the_full_spectrum():
-    config = EDConfig(n_max=17)
-    result = evolve(PARITY_PARAMS, config, [0.0, 1.0], compute_truncation_error=False)
-    full, _ = eigendecompose(build_hamiltonian(PARITY_PARAMS, config))
-    assert result.eigenvalues.shape == (config.dim,)
+    n_max = 17
+    result = evolve(PARITY_PARAMS, n_max, [0.0, 1.0], compute_truncation_error=False)
+    full, _ = eigendecompose(build_hamiltonian(PARITY_PARAMS, n_max))
+    assert result.eigenvalues.shape == (4 * (n_max + 1),)
     assert np.abs(result.eigenvalues - full).max() <= 1e-10
 
 
@@ -472,16 +480,16 @@ def _wootters(rho: np.ndarray) -> float:
     return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
 
 
-def _dense_states(params, config, times, spin, initial_fock):
+def _dense_states(params, n_max, times, spin, initial_fock):
     """Evolved states from eigh of the full composite-basis Hamiltonian, one column per time."""
-    n_osc = config.n_max + 1
+    n_osc = n_max + 1
     sector = [SpinState.J1M1, SpinState.J1M_MINUS1, SpinState.J1M0, SpinState.J0M0].index(spin)
     psi0 = np.zeros((4, n_osc))
     if initial_fock is None:
-        psi0[sector] = coherent_amplitudes(params.alpha_sq, config.n_max)
+        psi0[sector] = _coherent_amplitudes(params.alpha_sq, n_max)
     else:
         psi0[sector, initial_fock] = 1.0
-    evals, evecs = np.linalg.eigh(build_hamiltonian(params, config))
+    evals, evecs = np.linalg.eigh(build_hamiltonian(params, n_max))
     coeff = evecs.T @ psi0.ravel()
     return evecs @ (np.exp(-1j * np.outer(evals, times)) * coeff[:, None])
 
@@ -490,20 +498,20 @@ def _dense_states(params, config, times, spin, initial_fock):
 @pytest.mark.parametrize("spin", list(SpinState))
 def test_evolve_matches_full_space_dense_evolution(spin, initial_fock):
     # beside 31 times: 1 time, an exact block, a one-row tail block, several blocks
-    config = EDConfig(n_max=17)
-    n_osc = config.n_max + 1
+    n_max = 17
+    n_osc = n_max + 1
     for size in (31, 1, 128, 129, 300):
         times = np.linspace(0.0, 60.0, size)
         result = evolve(
             PARITY_PARAMS,
-            config,
+            n_max,
             times,
             initial_spin=spin,
             initial_fock=initial_fock,
             compute_truncation_error=False,
             keep_states=True,
         )
-        states = _dense_states(PARITY_PARAMS, config, times, spin, initial_fock)
+        states = _dense_states(PARITY_PARAMS, n_max, times, spin, initial_fock)
         assert result.states.shape == states.shape
         assert np.abs(result.states - states).max() <= 1e-10
         sectors = states.reshape(4, n_osc, times.size)
@@ -521,17 +529,17 @@ def test_evolve_memory_does_not_grow_with_time_points():
     # less than one real (4, n_osc) amplitude row, 4 * 201 * 8 = 6,432 bytes, per added
     # time: amplitudes held for the whole grid grew the peak by about 14.5 kB per time
     params = ModelParams(ratio_r=0.2, beta=0.4717, kappa0=-0.7, alpha_sq=16.0)
-    config = EDConfig(n_max=200)
+    n_max = 200
     peaks = []
     for size in (200, 1000):
         times = np.linspace(0.0, 400.0, size)
         tracemalloc.start()
         try:
-            evolve(params, config, times)
+            evolve(params, n_max, times)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / 800 < 4 * (config.n_max + 1) * 8
+    assert (peaks[1] - peaks[0]) / 800 < 4 * (n_max + 1) * 8
 
 
 def test_evolve_peak_memory_is_one_rerun_block_at_a_time():
@@ -539,12 +547,12 @@ def test_evolve_peak_memory_is_one_rerun_block_at_a_time():
     # larger parity block, d = 332: about 4.5 d^2 doubles, against 7.3 with one block's
     # arrays still held during the next block's eigh and the re-run after the run
     params = ModelParams(ratio_r=0.2, beta=0.4717, kappa0=-0.7, alpha_sq=16.0)
-    config = EDConfig(n_max=200)
-    n_osc = config.n_max + 1 + TRUNCATION_MARGIN
+    n_max = 200
+    n_osc = n_max + 1 + TRUNCATION_MARGIN
     dim = n_osc + (n_osc + 1) // 2
     tracemalloc.start()
     try:
-        evolve(params, config, np.linspace(0.0, 400.0, 401), compute_truncation_error=True)
+        evolve(params, n_max, np.linspace(0.0, 400.0, 401), compute_truncation_error=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -569,10 +577,9 @@ def test_parity_block_product_is_the_dense_product(beta_scale, n_max):
     from rabi_ent.oracle import _parity_block
 
     params = replace(PARITY_PARAMS, beta=beta_scale * PARITY_PARAMS.beta)
-    config = EDConfig(n_max=n_max)
     rng = np.random.default_rng(n_max)
     for parity in (0, 1):
-        h, product = _parity_block(params, config, parity)
+        h, product = _parity_block(params, n_max, parity)
         v = rng.standard_normal((h.shape[0], 7))
         assert np.abs(product(v) - h @ v).max() <= 1e-14 * np.abs(h).sum(axis=1).max()
 
@@ -594,14 +601,14 @@ PRUNE_PARAMS = ModelParams(ratio_r=0.2, beta=0.4717, kappa0=-0.7, alpha_sq=9.0)
 def test_pruned_evolution_matches_unpruned_dense_evolution(spin, initial_fock, monkeypatch):
     from rabi_ent import oracle
 
-    config = EDConfig(n_max=80)
-    n_osc = config.n_max + 1
+    n_max = 80
+    n_osc = n_max + 1
     times = np.linspace(0.0, 40.0, 301)
 
     def run():
         return evolve(
             PRUNE_PARAMS,
-            config,
+            n_max,
             times,
             initial_spin=spin,
             initial_fock=initial_fock,
@@ -610,7 +617,7 @@ def test_pruned_evolution_matches_unpruned_dense_evolution(spin, initial_fock, m
         )
 
     result = run()
-    states = _dense_states(PRUNE_PARAMS, config, times, spin, initial_fock)
+    states = _dense_states(PRUNE_PARAMS, n_max, times, spin, initial_fock)
     assert np.abs(result.states - states).max() <= 1e-12
     sectors = states.reshape(4, n_osc, times.size)
     pops = np.sum(np.abs(sectors) ** 2, axis=1)

@@ -1,30 +1,30 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import rabi_ent
 from rabi_ent import (
     AdiabaticRegimeWarning,
     AxisRange,
     DomainError,
-    EDConfig,
     KappaConvention,
     ModelParams,
     ScanSpec,
     SpinState,
     aa_row,
-    coherent_amplitudes,
-    displaced_overlap,
+    build_hamiltonian,
     effective_kappa,
     evolve,
     jc_inversion,
-    laguerre,
     laguerre_sequence,
     objective,
     poisson_logweights,
     refine,
 )
+from rabi_ent import oracle
 from rabi_ent.spectrum import aa_columns
 
 
@@ -141,23 +141,19 @@ INTEGER_SITES = {
         "steps must be an integer",
     ),
     "ScanSpec.time_points": (lambda x: scan_spec(time_points=x), "time_points must be an integer"),
-    "EDConfig.n_max": (lambda x: EDConfig(n_max=x), "n_max must be an integer"),
+    "evolve.n_max": (
+        lambda x: evolve(make(), x, [0.0], initial_fock=0, compute_truncation_error=False),
+        "n_max must be an integer",
+    ),
+    "build_hamiltonian.n_max": (lambda x: build_hamiltonian(make(), x), "n_max must be an integer"),
     "evolve.initial_fock": (
-        lambda x: evolve(
-            make(), EDConfig(n_max=4), [0.0], initial_fock=x, compute_truncation_error=False
-        ),
+        lambda x: evolve(make(), 4, [0.0], initial_fock=x, compute_truncation_error=False),
         "initial_fock must be an integer",
     ),
     "aa_row.N": (lambda x: aa_row(x, make()), "N must be a nonnegative integer"),
     "aa_columns.n_min": (lambda x: aa_columns(make(), 5, n_min=x), "need integers"),
     "aa_columns.n_max": (lambda x: aa_columns(make(), x), "need integers"),
     "laguerre_sequence.n_max": (lambda x: laguerre_sequence(x, 0.5), "degree must be an integer"),
-    "laguerre.n": (lambda x: laguerre(x, 0.5), "degree must be an integer"),
-    "displaced_overlap.n": (lambda x: displaced_overlap(x, 0.5), "degree must be an integer"),
-    "coherent_amplitudes.n_max": (
-        lambda x: coherent_amplitudes(1.0, x),
-        "n_max must be an integer",
-    ),
     "objective.time_points": (
         lambda x: objective(make(), 10.0, time_points=x),
         "time_points must be an integer",
@@ -204,11 +200,6 @@ REAL_SITES = {
         "horizon must be a real number",
     ),
     "laguerre_sequence.x": (lambda x: laguerre_sequence(3, x), "argument must be a real number"),
-    "laguerre.x": (lambda x: laguerre(3, x), "argument must be a real number"),
-    "displaced_overlap.d": (
-        lambda x: displaced_overlap(2, x),
-        "displacement must be a real number",
-    ),
     "poisson_logweights.alpha_sq": (
         lambda x: poisson_logweights(x),
         "alpha_sq must be a real number",
@@ -222,10 +213,6 @@ REAL_SITES = {
         "delta must be a real number",
     ),
     "jc_inversion.g": (lambda x: jc_inversion(0.0, x, 4.0, [0.0, 1.0]), "g must be a real number"),
-    "coherent_amplitudes.alpha_sq": (
-        lambda x: coherent_amplitudes(x, 40),
-        "alpha_sq must be a real number",
-    ),
     "refine.start_point": (
         lambda x: refine({"beta": x}, {"beta": 0.1}, max_iters=2, objective_fn=quadratic),
         "start_point beta must be a real number",
@@ -281,12 +268,23 @@ def test_refine_rejects_a_zero_step_and_a_negative_ftol(kwargs, message):
 
 
 def test_capacity_ceilings_are_constants_not_inputs():
-    assert [f.name for f in dataclasses.fields(EDConfig)] == ["n_max"]
+    for fn in (evolve, build_hamiltonian):
+        assert not [name for name in inspect.signature(fn).parameters if "ceiling" in name]
     assert "grid_ceiling" not in {f.name for f in dataclasses.fields(ScanSpec)}
     with pytest.raises(TypeError, match="dim_ceiling"):
-        EDConfig(n_max=4, dim_ceiling=8192)
+        build_hamiltonian(make(), 4, dim_ceiling=8192)
     with pytest.raises(TypeError, match="grid_ceiling"):
         scan_spec(grid_ceiling=20000)
+
+
+def test_all_lists_exactly_the_public_names():
+    public = {
+        name
+        for name, value in vars(rabi_ent).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert len(rabi_ent.__all__) == len(set(rabi_ent.__all__))
+    assert set(rabi_ent.__all__) == public | {"__version__"}
 
 
 def test_checked_scalars_are_stored_as_python_floats_and_ints():
@@ -295,6 +293,6 @@ def test_checked_scalars_are_stored_as_python_floats_and_ints():
     assert axis.grid().dtype == np.float64
     spec = scan_spec(horizon=np.float32(0.5), time_points=np.int64(10))
     assert (type(spec.horizon), type(spec.time_points)) == (float, int)
-    assert type(EDConfig(n_max=np.float64(4.0)).n_max) is int
+    assert type(oracle._checked_n_max(np.float64(4.0))) is int
     assert aa_columns(make(), 5.0, n_min=np.float32(2.0))["N"].tolist() == [2, 3, 4, 5]
     assert aa_columns(make(), 5.0)["N"].dtype.kind == "i"

@@ -4,12 +4,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from rabi_ent import (
     DomainError,
-    displaced_overlap,
-    laguerre,
     laguerre_sequence,
     poisson_logweights,
 )
@@ -24,28 +21,22 @@ def laguerre_series(n: int, x: Fraction) -> Fraction:
     )
 
 
-def displacement_matrix(d: float, cutoff: int) -> np.ndarray:
-    """Independent oracle: D(d) = expm(d (a^dag - a)) in a truncated Fock space."""
-    ladder = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
-    return expm(d * (ladder.T - ladder))
-
-
 @pytest.mark.parametrize("x", [0.0, 0.25, 1.0, 7.5, 50.0])
 def test_laguerre_degree_zero(x):
-    assert laguerre(0, x) == 1.0
+    assert laguerre_sequence(0, x)[-1] == 1.0
 
 
 def test_laguerre_degree_one():
-    assert laguerre(1, 0.25) == 0.75
+    assert laguerre_sequence(1, 0.25)[-1] == 0.75
 
 
 def test_laguerre_matches_series_oracle():
     oracle = laguerre_series(5, Fraction(1))
     assert oracle == Fraction(-7, 15)
-    assert laguerre(5, 1.0) == pytest.approx(float(oracle), rel=1e-14)
+    assert laguerre_sequence(5, 1.0)[-1] == pytest.approx(float(oracle), rel=1e-14)
     for n in (2, 3, 8, 12):
         for x in (Fraction(1, 4), Fraction(3, 2), Fraction(5)):
-            assert laguerre(n, float(x)) == pytest.approx(
+            assert laguerre_sequence(n, float(x))[-1] == pytest.approx(
                 float(laguerre_series(n, x)), rel=1e-11
             )
 
@@ -110,37 +101,14 @@ def test_laguerre_sequence_against_mpmath(x, bound):
 @pytest.mark.parametrize("bad_x", [-0.5, math.nan, math.inf])
 def test_laguerre_domain_errors(bad_x):
     with pytest.raises(DomainError):
-        laguerre(3, bad_x)
+        laguerre_sequence(3, bad_x)
 
 
 def test_laguerre_degree_errors():
     with pytest.raises(DomainError):
-        laguerre(-1, 1.0)
+        laguerre_sequence(-1, 1.0)
     with pytest.raises(DomainError):
-        laguerre(10**6 + 1, 1.0)
-
-
-@pytest.mark.parametrize("n", [0, 1, 5, 40])
-def test_displaced_overlap_identity_at_zero(n):
-    assert displaced_overlap(n, 0.0) == 1.0
-
-
-@pytest.mark.parametrize("d", [0.3, -0.9, 2.0])
-def test_displaced_overlap_ground_state(d):
-    assert displaced_overlap(0, d) == pytest.approx(math.exp(-d * d / 2.0), rel=1e-15)
-
-
-def test_displaced_overlap_matches_expm_oracle():
-    oracle = displacement_matrix(0.8, 60)[3, 3]
-    assert oracle == pytest.approx(-0.2536370812588277, rel=1e-12)  # frozen
-    assert displaced_overlap(3, 0.8) == pytest.approx(oracle, rel=1e-12)
-    # overlap is even in the displacement
-    assert displaced_overlap(3, -0.8) == displaced_overlap(3, 0.8)
-
-
-def test_displaced_overlap_rejects_nonfinite():
-    with pytest.raises(DomainError):
-        displaced_overlap(2, math.nan)
+        laguerre_sequence(10**6 + 1, 1.0)
 
 
 def test_poisson_vacuum():

@@ -14,8 +14,6 @@ from rabi_ent import (
     aa_rows,
     effective_kappa,
     laguerre_sequence,
-    omega_1N,
-    omega_2N,
 )
 from rabi_ent.spectrum import aa_columns
 
@@ -34,15 +32,15 @@ def random_params(rng):
 
 def test_omega_1N_at_zero_coupling():
     params = ModelParams(ratio_r=0.2, beta=0.0)
-    assert omega_1N(0, params) == pytest.approx(-0.2 / SQRT2, rel=1e-15)
-    assert omega_1N(37, params) == pytest.approx(-0.2 / SQRT2, rel=1e-15)
+    assert aa_row(0, params).omega1N == pytest.approx(-0.2 / SQRT2, rel=1e-15)
+    assert aa_row(37, params).omega1N == pytest.approx(-0.2 / SQRT2, rel=1e-15)
 
 
 def test_omega_1N_vanishes_with_qubit_frequency():
     with pytest.warns(AdiabaticRegimeWarning):
         params = ModelParams(ratio_r=0.0, beta=0.4)
     for n in (0, 5, 40):
-        assert omega_1N(n, params) == 0.0
+        assert aa_row(n, params).omega1N == 0.0
 
 
 def test_omega_1N_against_displacement_oracle():
@@ -53,19 +51,22 @@ def test_omega_1N_against_displacement_oracle():
     params = ModelParams(ratio_r=0.12, beta=beta, kappa0=0.02, alpha_sq=106.0)
     expected = -(0.12 / SQRT2) * overlap
     assert expected == pytest.approx(0.031003248518354, rel=1e-9)  # frozen
-    assert omega_1N(16, params) == pytest.approx(expected, rel=1e-10)
+    # <N|D(beta)|N> = exp(-beta^2/2) L_N(beta^2)
+    identity = math.exp(-0.5 * beta * beta) * laguerre_sequence(16, beta * beta)[-1]
+    assert identity == pytest.approx(overlap, rel=1e-10)
+    assert aa_row(16, params).omega1N == pytest.approx(expected, rel=1e-10)
 
 
 def test_omega_2N_zero_kappa():
     params = ModelParams(ratio_r=0.12, beta=0.4193, kappa0=0.0)
     for n in (0, 10, 106):
-        assert omega_2N(n, params) == 0.0
+        assert aa_row(n, params).omega2N == 0.0
 
 
 def test_omega_2N_ground_state():
     params = ModelParams(ratio_r=0.23, beta=0.0, kappa0=0.1)
     assert effective_kappa(params) == pytest.approx(0.023, rel=1e-15)
-    assert omega_2N(0, params) == pytest.approx(-0.023, rel=1e-15)
+    assert aa_row(0, params).omega2N == pytest.approx(-0.023, rel=1e-15)
 
 
 def test_uncoupled_limit_row():
