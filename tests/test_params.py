@@ -15,6 +15,7 @@ from rabi_ent import (
     ScanSpec,
     SpinState,
     aa_row,
+    aa_rows,
     build_hamiltonian,
     effective_kappa,
     evolve,
@@ -23,6 +24,9 @@ from rabi_ent import (
     objective,
     poisson_logweights,
     refine,
+    survival_prob,
+    transition_prob,
+    two_branch_interference_check,
 )
 from rabi_ent import oracle
 from rabi_ent.spectrum import aa_columns
@@ -153,6 +157,12 @@ INTEGER_SITES = {
     "aa_row.N": (lambda x: aa_row(x, make()), "N must be a nonnegative integer"),
     "aa_columns.n_min": (lambda x: aa_columns(make(), 5, n_min=x), "need integers"),
     "aa_columns.n_max": (lambda x: aa_columns(make(), x), "need integers"),
+    "aa_rows.n_min": (lambda x: aa_rows(make(), 5, n_min=x), "need integers"),
+    "aa_rows.n_max": (lambda x: aa_rows(make(), x), "need integers"),
+    "two_branch_interference_check.N": (
+        lambda x: two_branch_interference_check(x, make(), [0.0, 1.0]),
+        "N must be a nonnegative integer",
+    ),
     "laguerre_sequence.n_max": (lambda x: laguerre_sequence(x, 0.5), "degree must be an integer"),
     "objective.time_points": (
         lambda x: objective(make(), 10.0, time_points=x),
@@ -213,6 +223,26 @@ REAL_SITES = {
         "delta must be a real number",
     ),
     "jc_inversion.g": (lambda x: jc_inversion(0.0, x, 4.0, [0.0, 1.0]), "g must be a real number"),
+    "jc_inversion.alpha_sq": (
+        lambda x: jc_inversion(0.0, 1.0, x, [0.0, 1.0]),
+        "alpha_sq must be a real number",
+    ),
+    "jc_inversion.tail_tol": (
+        lambda x: jc_inversion(0.0, 1.0, 4.0, [0.0, 1.0], tail_tol=x),
+        "tail_tol must be a real number",
+    ),
+    "transition_prob.tail_tol": (
+        lambda x: transition_prob(make(), [0.0, 1.0], tail_tol=x),
+        "tail_tol must be a real number",
+    ),
+    "survival_prob.tail_tol": (
+        lambda x: survival_prob(make(), [0.0, 1.0], tail_tol=x),
+        "tail_tol must be a real number",
+    ),
+    "objective.tail_tol": (
+        lambda x: objective(make(), 10.0, time_points=2, tail_tol=x),
+        "tail_tol must be a real number",
+    ),
     "refine.start_point": (
         lambda x: refine({"beta": x}, {"beta": 0.1}, max_iters=2, objective_fn=quadratic),
         "start_point beta must be a real number",
@@ -229,7 +259,11 @@ REAL_SITES = {
 
 # valid values of each kind; a site whose range excludes them lists its own
 REAL_VALUES = (3, np.int64(3), np.float32(0.5), 0.5)
-REAL_VALUES_IN_RANGE = {"poisson_logweights.tail_tol": (1e-7, np.float32(1e-7), np.float64(1e-8))}
+TAIL_TOLS = (1e-7, np.float32(1e-7), np.float64(1e-8))
+REAL_VALUES_IN_RANGE = {
+    f"{fn}.tail_tol": TAIL_TOLS
+    for fn in ("poisson_logweights", "jc_inversion", "transition_prob", "survival_prob", "objective")
+}
 
 
 @pytest.mark.parametrize(
