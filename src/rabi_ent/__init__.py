@@ -23,7 +23,6 @@ from .specialfn import (
 )
 from .spectrum import AASpectrumRow, aa_row, aa_rows
 from .dynamics import (
-    TimeSeries,
     jc_inversion,
     survival_prob,
     transition_prob,
@@ -55,7 +54,6 @@ __all__ = [
     "ScanResult",
     "ScanSpec",
     "SpinState",
-    "TimeSeries",
     "TruncationWarning",
     "aa_row",
     "aa_rows",

@@ -113,7 +113,7 @@ def _spectrum(cfg: dict):
 def _tprob(cfg: dict):
     params = params_from_config(cfg)
     times = times_from_config(cfg)
-    t_vals = transition_prob(params, times, section(cfg, "tail_tol")).channels["T"]
+    t_vals = transition_prob(params, times, section(cfg, "tail_tol"))
     p_vals = 1.0 - 2.0 * t_vals
     summary = {"max_T": float(t_vals.max()), "min_P_stay": float(p_vals.min())}
     note = f"({times.size} rows); max T = {t_vals.max():.6g}"
@@ -133,9 +133,8 @@ def _oracle(cfg: dict):
         initial_fock=ed["initial_fock"],
         compute_truncation_error=ed["check_truncation"],
     )
-    pops = result.populations.channels
-    conc = result.concurrence.channels["C"]
-    columns = (times, pops["P11"], pops["P1m1"], pops["P10"], pops["P00"], conc)
+    pops = result.populations
+    columns = (times, pops["P11"], pops["P1m1"], pops["P10"], pops["P00"], result.concurrence)
     summary = {
         "n_max": n_max,
         "truncation_error": result.truncation_error,
@@ -147,7 +146,7 @@ def _oracle(cfg: dict):
 def _jc(cfg: dict):
     jc = section(cfg, "jc", required=True)
     times = times_from_config(cfg)
-    w_vals = jc_inversion(times=times, tail_tol=section(cfg, "tail_tol"), **jc).channels["W"]
+    w_vals = jc_inversion(times=times, tail_tol=section(cfg, "tail_tol"), **jc)
     return ("t", "W"), (times, w_vals), {}, f"({times.size} rows)"
 
 

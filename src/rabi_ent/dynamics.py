@@ -8,7 +8,6 @@ for the collapse-and-revival contrast.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,25 +30,11 @@ def _as_times(times) -> np.ndarray:
     return times
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """A strictly increasing time grid with named value channels."""
-
-    times: np.ndarray
-    channels: dict[str, np.ndarray]
-
-    def __post_init__(self) -> None:
-        times = _as_times(self.times)
-        object.__setattr__(self, "times", times)
-        channels = {}
-        for name, values in self.channels.items():
-            values = np.asarray(values, dtype=float)
-            if values.shape != times.shape:
-                raise DomainError(f"channel {name!r} length does not match times")
-            if not np.all(np.isfinite(values)):
-                raise DomainError(f"channel {name!r} contains non-finite values")
-            channels[name] = values
-        object.__setattr__(self, "channels", channels)
+def _finite(name: str, values: np.ndarray) -> np.ndarray:
+    """``values``, once none is NaN or inf: T and W overflow to NaN at extreme inputs."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"channel {name!r} contains non-finite values")
+    return values
 
 
 def _phase_blocks(freqs: np.ndarray, times: np.ndarray, _sin: bool = True) -> Iterator[tuple]:
@@ -114,8 +99,8 @@ def _t_coefficients(table: LogWeightTable, columns: dict[str, np.ndarray]) -> np
 
 def transition_prob(
     params: ModelParams, times, tail_tol: float = DEFAULT_TAIL_TOL
-) -> TimeSeries:
-    """Averaged probability series T(t), channel "T".
+) -> np.ndarray:
+    """Averaged transition probability T(t) on ``times``.
 
     T(t) = sum_N p(N) * weight_N * (1 - cos(rabi_freq_N * t)), with p(N) the
     Poisson photon weights of the initial coherent state and weight_N,
@@ -126,7 +111,7 @@ def transition_prob(
     table = poisson_logweights(params.alpha_sq, tail_tol)
     columns = aa_columns(params, table.n_cut)
     T = _cosine_average(_t_coefficients(table, columns), columns["rabi_freq"], times, 1.0)
-    return TimeSeries(times=times, channels={"T": T})
+    return _finite("T", T)
 
 
 def _spectrum_key(params: ModelParams) -> tuple:
@@ -143,7 +128,7 @@ def _peak_transition_probs(
 ) -> np.ndarray:
     """max_t T(t) of every parameter set in ``points`` on a valid time grid.
 
-    Each peak equals ``transition_prob(p, times, tail_tol).channels["T"].max()``
+    Each peak equals ``transition_prob(p, times, tail_tol).max()``
     bit for bit, except that a NaN in T gives a NaN peak instead of an error
     (elsewhere T lies in [0, 1/4]).  T reads alpha_sq only through the
     Poisson weights, so each distinct alpha_sq gets one Poisson table, and
@@ -193,12 +178,9 @@ def _group_peaks(
 
 def survival_prob(
     params: ModelParams, times, tail_tol: float = DEFAULT_TAIL_TOL
-) -> TimeSeries:
-    """Stay probability 1 - 2 T(t), channel "P_stay"; values lie in [1/2, 1]."""
-    base = transition_prob(params, times, tail_tol)
-    return TimeSeries(
-        times=base.times, channels={"P_stay": 1.0 - 2.0 * base.channels["T"]}
-    )
+) -> np.ndarray:
+    """Stay probability 1 - 2 T(t) on ``times``; values lie in [1/2, 1]."""
+    return 1.0 - 2.0 * transition_prob(params, times, tail_tol)
 
 
 def jc_inversion(
@@ -208,8 +190,8 @@ def jc_inversion(
     times,
     tail_tol: float = DEFAULT_TAIL_TOL,
     corrected: bool = True,
-) -> TimeSeries:
-    """Jaynes-Cummings population inversion W(t) for a coherent field, channel "W".
+) -> np.ndarray:
+    """Jaynes-Cummings population inversion W(t) for a coherent field on ``times``.
 
     W(t) = sum_N p(N) [delta^2/Om_N^2 + (4 g^2 (N+1)/Om_N^2) cos(Om_N t)].
     With ``corrected`` (default) the quantum Rabi frequency is
@@ -234,8 +216,7 @@ def jc_inversion(
     const = float(np.dot(p, delta * delta / om_sq))
     osc_coeff = p * (4.0 * g * g * n_plus_1 / om_sq)
     # const + osc_coeff @ cos(om t), written for the shared (shift - cos) kernel
-    W = const - _cosine_average(osc_coeff, om, times, 0.0)
-    return TimeSeries(times=times, channels={"W": W})
+    return _finite("W", const - _cosine_average(osc_coeff, om, times, 0.0))
 
 
 def two_branch_interference_check(N: int, params: ModelParams, times) -> float:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _PHASE_BLOCK, TimeSeries, _as_times, _phase_blocks
+from .dynamics import _PHASE_BLOCK, _as_times, _phase_blocks
 from .errors import CapacityError, DomainError, TruncationWarning
-from .params import ModelParams, SpinState, _is_integer, effective_kappa
+from .params import ModelParams, SpinState, _is_integer, _is_real, effective_kappa
 from .specialfn import poisson_logpmf
 
 SPIN_DIM = 4
@@ -75,22 +75,25 @@ _SYSY = np.array(
 class EDResult:
     """Eigendecomposition summary plus time-evolved observables.
 
-    ``truncation_error`` is the sup-norm change of the population channels
-    when n_max grows by TRUNCATION_MARGIN; None when the check was skipped.
+    ``populations`` maps P11, P1m1, P10 and P00, and ``concurrence`` holds C,
+    each one value per time.  ``truncation_error`` is the sup-norm change of the
+    populations when n_max grows by TRUNCATION_MARGIN; None when the check was skipped.
     ``states`` carries the evolved vectors, one column per time, only when
     ``evolve`` was asked to keep them; the entries that evolution skips as out
     of reach of the initial state (see PRUNE_BOUND) are exact zeros.
     """
 
     eigenvalues: np.ndarray
-    populations: TimeSeries
-    concurrence: TimeSeries
+    populations: dict[str, np.ndarray]
+    concurrence: np.ndarray
     truncation_error: float | None
     states: np.ndarray | None = None
 
 
 def required_n_max(alpha_sq: float) -> int:
     """Smallest Fock cutoff admitted for a coherent state of mean alpha_sq."""
+    if not (_is_real(alpha_sq) and alpha_sq >= 0.0):
+        raise DomainError(f"alpha_sq must be a real number >= 0, got {alpha_sq!r}")
     return math.ceil(alpha_sq + 10.0 * math.sqrt(alpha_sq + 1.0))
 
 
@@ -384,9 +387,8 @@ def evolve(
         rho[rows].real, rho[rows].imag = re @ re_t + im @ im_t, im @ re_t - re @ im_t
         if keep_states:
             states[..., rows] = (re + 1j * im).transpose(1, 2, 0)
-    channels = dict(zip(("P11", "P1m1", "P10", "P00"), pops))
     rho = _COMPOSITE_TO_PRODUCT @ rho @ _COMPOSITE_TO_PRODUCT.T
-    # renormalize away the coherent-state truncation deficit (~1e-24)
+    # renormalize away the rounding in the Poisson amplitudes (1 - |psi0|^2 ~ 1e-13)
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     conc = concurrence(rho)
     truncation_error = None
@@ -401,8 +403,8 @@ def evolve(
             )
     return EDResult(
         eigenvalues=evals,
-        populations=TimeSeries(times=times, channels=channels),
-        concurrence=TimeSeries(times=times, channels={"C": conc}),
+        populations=dict(zip(("P11", "P1m1", "P10", "P00"), pops)),
+        concurrence=conc,
         truncation_error=truncation_error,
         states=None if states is None else states.reshape(-1, times.size),
     )

@@ -126,8 +126,7 @@ def objective(
 ) -> float:
     """Worst-case transition probability over a uniform grid on [0, horizon]."""
     times = np.linspace(0.0, *_window(horizon, time_points))
-    series = transition_prob(params, times, tail_tol)
-    return float(series.channels["T"].max())
+    return float(transition_prob(params, times, tail_tol).max())
 
 
 def _params_at(point: Mapping[str, float], spec: ScanSpec) -> ModelParams:

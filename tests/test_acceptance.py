@@ -65,8 +65,8 @@ def preset_run(fig: int, panel: int = 1):
 def test_criterion_1_fig3_preservation():
     params, times = preset_run(3, 1)
     start = time.perf_counter()
-    t_vals = transition_prob(params, times).channels["T"]
-    stay = survival_prob(params, times).channels["P_stay"]
+    t_vals = transition_prob(params, times)
+    stay = survival_prob(params, times)
     elapsed = time.perf_counter() - start
     max_t = float(t_vals.max())
     min_stay = float(stay.min())
@@ -97,7 +97,7 @@ def test_criterion_2_fig4_tenfold_reduction():
             alpha_sq=base.alpha_sq,
             kappa_convention=convention,
         )
-        values[convention] = float(transition_prob(params, times).channels["T"].max())
+        values[convention] = float(transition_prob(params, times).max())
     omega0 = values[KappaConvention.OMEGA0_SCALED]
     omega = values[KappaConvention.OMEGA_SCALED]
     best = min(values, key=values.get)
@@ -167,7 +167,7 @@ def test_criterion_4_probability_bounds():
     worst_low, worst_high = 0.0, 0.0
     for fig, panel in presets:
         params, times = preset_run(fig, panel)
-        values = transition_prob(params, times).channels["T"]
+        values = transition_prob(params, times)
         assert values[0] == 0.0
         worst_low = min(worst_low, float(values.min()))
         worst_high = max(worst_high, float(values.max()))
@@ -180,7 +180,7 @@ def test_criterion_4_probability_bounds():
             kappa0=float(rng.uniform(-1.5, 1.5)),
             alpha_sq=float(rng.uniform(0.0, 40.0)),
         )
-        values = transition_prob(params, times).channels["T"]
+        values = transition_prob(params, times)
         assert values[0] == 0.0
         worst_low = min(worst_low, float(values.min()))
         worst_high = max(worst_high, float(values.max()))
@@ -209,7 +209,7 @@ def test_criterion_5_ed_oracle_soundness():
     for params in desk_cases:
         config = 80
         result = evolve(params, config, times, keep_states=True)
-        pops = result.populations.channels
+        pops = result.populations
         total = pops["P11"] + pops["P1m1"] + pops["P10"] + pops["P00"]
         worst_unitarity = max(worst_unitarity, float(np.abs(total - 1.0).max()))
         h = build_hamiltonian(params, config)
@@ -227,7 +227,7 @@ def test_criterion_5_ed_oracle_soundness():
         compute_truncation_error=False,
     )
     stationary_drift = max(
-        float(np.ptp(channel)) for channel in stationary.populations.channels.values()
+        float(np.ptp(channel)) for channel in stationary.populations.values()
     )
     elapsed = time.perf_counter() - start
     ok = (
@@ -254,7 +254,7 @@ def test_criterion_5_ed_oracle_soundness():
 def test_criterion_6_aa_vs_ed_cross_validation():
     params = ModelParams(ratio_r=0.05, beta=0.2, kappa0=0.0, alpha_sq=9.0)
     times = np.linspace(0.0, 200.0, 801)
-    series = transition_prob(params, times).channels["T"]
+    series = transition_prob(params, times)
     gaps = {}
     # the literal sz1 + sz2 (pauli_sum) reading is the oracle at 2 * beta, bit for bit
     for reading, scale in (("half_sum", 1.0), ("pauli_sum", 2.0)):
@@ -264,7 +264,7 @@ def test_criterion_6_aa_vs_ed_cross_validation():
             times,
             compute_truncation_error=False,
         )
-        p11 = result.populations.channels["P11"]
+        p11 = result.populations["P11"]
         # the closed-form series is the per-channel kernel; the adiabatic
         # prediction for the |1,1> population is twice the series
         gaps[reading] = float(np.max(np.abs(p11 - 2.0 * series)))
@@ -284,7 +284,7 @@ def test_criterion_6_aa_vs_ed_cross_validation():
 
 def test_criterion_7_jc_collapse_and_revival():
     times = np.linspace(0.0, 45.0, 9001)
-    w_vals = jc_inversion(0.0, 1.0, 16.0, times, tail_tol=1e-13).channels["W"]
+    w_vals = jc_inversion(0.0, 1.0, 16.0, times, tail_tol=1e-13)
     w0_gap = abs(float(w_vals[0]) - 1.0)
     collapse_window = (times >= 8.0) & (times <= 18.0)
     collapse_level = float(np.abs(w_vals[collapse_window]).max())
@@ -311,7 +311,7 @@ def test_criterion_8_no_sudden_death_desk_scale():
     params = ModelParams(ratio_r=0.2, beta=0.4717, kappa0=-0.7, alpha_sq=16.0)
     times = np.linspace(0.0, 400.0, 401)
     result = evolve(params, 80, times, compute_truncation_error=False)
-    conc = result.concurrence.channels["C"]
+    conc = result.concurrence
     min_c = float(conc.min())
     ok = min_c > 0.0
     report(

@@ -11,13 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rabi_ent import config, oracle, scan, specialfn
+from rabi_ent import config, evolve, oracle, scan, specialfn, transition_prob
 from rabi_ent.cli import _csv_pieces, build_parser, load_preset, main, preset_name
 from rabi_ent.config import (
     SCHEMA,
     MapOf,
     load_config,
+    params_from_config,
     section,
+    times_from_config,
     validate_config,
 )
 from rabi_ent.scan import ScanSpec, grid_scan
@@ -72,13 +74,9 @@ def test_csv_floats_round_trip_exactly(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["tprob", "--fig", "3", "--panel", "1", "--out", "rt.csv"]) == 0
     data = read_csv(tmp_path / "rt.csv")
-    from rabi_ent import transition_prob
-    from rabi_ent.cli import load_preset
-    from rabi_ent.config import params_from_config, times_from_config
-
     cfg = load_preset(3, 1)
     times = times_from_config(cfg)
-    values = transition_prob(params_from_config(cfg), times).channels["T"]
+    values = transition_prob(params_from_config(cfg), times)
     assert np.array_equal(data["t"], times)
     assert np.array_equal(data["T"], values)
 
@@ -687,9 +685,9 @@ def test_readme_schema_block_is_valid_and_names_every_key():
     walk(SCHEMA, block, "")
 
 
-def _readme_capacity_row(guard: str) -> list[str]:
+def _readme_row(first_cell: str) -> list[str]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    (row,) = [line for line in readme.splitlines() if line.strip().startswith(f"| {guard}")]
+    (row,) = [line for line in readme.splitlines() if line.strip().startswith(f"| {first_cell}")]
     return [cell.strip().strip("`").replace(",", "") for cell in row.strip().strip("|").split("|")]
 
 
@@ -743,7 +741,7 @@ _CAPACITY_LIMITS = [
 def test_readme_capacity_limits_match_the_guards(
     tmp_path, monkeypatch, capsys, guard, limit, command, cfg, message
 ):
-    _, shown, exit_code = _readme_capacity_row(guard)
+    _, shown, exit_code = _readme_row(guard)
     base, _, power = shown.partition("**")
     assert (int(base) ** int(power) if power else int(float(base))) == limit
     assert SCHEMA["scan"]["time_points"].le == SCHEMA["time_grid"]["points"].le
@@ -760,3 +758,31 @@ def test_readme_capacity_limits_match_the_guards(
     # rejected before the work it bounds allocates: one past any of these
     # limits would take at least 8 MB
     assert peak < 2**20
+
+
+def test_readme_preset_table_matches_a_fresh_run():
+    ratios = {3: [], 4: []}
+    for fig, panel in ((3, 1), (3, 2), (3, 3), (4, 1)):
+        cfg = load_preset(fig, panel)
+        params, times = params_from_config(cfg), times_from_config(cfg)
+        t_vals = transition_prob(params, times, section(cfg, "tail_tol"))
+        result = evolve(params, section(cfg, "ed")["n_max"], times, compute_truncation_error=False)
+        t_peak, pops = t_vals.max(), result.populations
+        closed, *oracle_cells = _readme_row(f"fig{fig} p{panel}")[5:]
+        peak_2t, bound = re.fullmatch(r"max 2T = ([\d.]+) 1 - 4T >= ([\d.]+)", closed).groups()
+        assert f"{2.0 * t_peak:.4f}" == peak_2t
+        # the bound is the largest 3-digit number at or below the minimum
+        assert float(bound) <= (1.0 - 4.0 * t_vals).min() < float(bound) + 0.001
+        shown = [pops["P10"].min(), pops["P11"].max(), result.concurrence.min()]
+        assert [f"{value:.4f}" for value in shown] == oracle_cells
+        ratios[fig].append(((1.0 - shown[0]) / (4.0 * t_peak), shown[1] / (2.0 * t_peak)))
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    prose = re.search(
+        r"`1 - min P10` is ([\d.]+)-([\d.]+)x the closed form's `4T`, and its max `P11` is "
+        r"([\d.]+)-([\d.]+)x max `2T`; at fig4 both ratios are (\d+)-(\d+)x",
+        readme,
+    )
+    for values, shown_range in zip(zip(*ratios[3]), (prose.group(1, 2), prose.group(3, 4))):
+        assert (f"{min(values):.1f}", f"{max(values):.1f}") == shown_range
+    low, high = map(int, prose.group(5, 6))
+    assert all(low <= round(ratio) <= high for ratio in ratios[4][0])

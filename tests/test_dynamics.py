@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import rabi_ent
 from rabi_ent import (
     AdiabaticRegimeWarning,
     DomainError,
     ModelParams,
-    TimeSeries,
+    evolve,
     jc_inversion,
     poisson_logweights,
     survival_prob,
@@ -18,6 +19,7 @@ from rabi_ent import (
 )
 from rabi_ent.dynamics import (
     _PHASE_BLOCK,
+    _as_times,
     _cosine_average,
     _peak_transition_probs,
     _phase_blocks,
@@ -35,29 +37,81 @@ def random_params(rng):
     )
 
 
-def test_timeseries_validation():
-    with pytest.raises(DomainError):
-        TimeSeries(times=np.array([0.0, 1.0, 1.0]), channels={})
-    with pytest.raises(DomainError):
-        TimeSeries(times=np.array([0.0, math.nan]), channels={})
-    with pytest.raises(DomainError):
-        TimeSeries(times=np.array([0.0, 1.0]), channels={"x": np.array([1.0])})
-    with pytest.raises(DomainError):
-        TimeSeries(times=np.array([0.0, 1.0]), channels={"x": np.array([1.0, math.inf])})
-    with pytest.raises(DomainError):
-        TimeSeries(times=np.zeros((2, 2)), channels={})
+GRID_PARAMS = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=4.0)
+
+# every public function that takes a time grid, and the module whose _as_times it calls
+TIME_GRID_SITES = {
+    "transition_prob": (lambda t: transition_prob(GRID_PARAMS, t), "dynamics"),
+    "survival_prob": (lambda t: survival_prob(GRID_PARAMS, t), "dynamics"),
+    "jc_inversion": (lambda t: jc_inversion(0.0, 1.0, 4.0, t), "dynamics"),
+    "evolve": (lambda t: evolve(GRID_PARAMS, 30, t), "oracle"),
+    "two_branch_interference_check": (
+        lambda t: two_branch_interference_check(3, GRID_PARAMS, t),
+        "dynamics",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([0.0, 1.0, 1.0], "times must be strictly increasing"),
+        ([0.0, math.nan], "times must be finite"),
+        ([0.0, math.inf], "times must be finite"),
+        (np.zeros((2, 2)), "times must be a non-empty 1-D sequence"),
+        ([], "times must be a non-empty 1-D sequence"),
+    ],
+    ids=["repeated", "nan", "inf", "2-D", "empty"],
+)
+@pytest.mark.parametrize("site", list(TIME_GRID_SITES))
+def test_time_grid_inputs_reject_bad_grids(site, times, message):
+    call, _ = TIME_GRID_SITES[site]
+    with pytest.raises(DomainError, match=message):
+        call(times)
+
+
+@pytest.mark.parametrize("site", list(TIME_GRID_SITES))
+def test_each_time_grid_is_checked_once(site, monkeypatch):
+    call, module_name = TIME_GRID_SITES[site]
+    module = getattr(rabi_ent, module_name)
+    checked = []
+
+    def counting(times):
+        checked.append(times)
+        return _as_times(times)
+
+    monkeypatch.setattr(module, "_as_times", counting)
+    call(np.linspace(0.0, 5.0, 11))
+    assert len(checked) == 1
+
+
+def test_series_and_oracle_results_are_plain_arrays():
+    times = np.linspace(0.0, 5.0, 11)
+    result = evolve(GRID_PARAMS, 30, times)
+    assert list(result.populations) == ["P11", "P1m1", "P10", "P00"]
+    for values in (
+        transition_prob(GRID_PARAMS, times),
+        survival_prob(GRID_PARAMS, times),
+        jc_inversion(0.0, 1.0, 4.0, times),
+        *result.populations.values(),
+        result.concurrence,
+    ):
+        assert type(values) is np.ndarray
+        assert values.dtype == np.float64 and values.shape == times.shape
+    assert not hasattr(rabi_ent, "TimeSeries")
+    assert not hasattr(rabi_ent.dynamics, "TimeSeries")
 
 
 def test_transition_prob_zero_time_is_exactly_zero():
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=25.0)
     series = transition_prob(params, np.linspace(0.0, 100.0, 101))
-    assert series.channels["T"][0] == 0.0
+    assert series[0] == 0.0
 
 
 def test_transition_prob_is_even_in_time():
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=16.0)
     times = np.linspace(-60.0, 60.0, 241)
-    values = transition_prob(params, times).channels["T"]
+    values = transition_prob(params, times)
     assert values == pytest.approx(values[::-1], abs=1e-15)
 
 
@@ -65,7 +119,7 @@ def test_transition_prob_bounds_random_draws():
     rng = np.random.default_rng(2)
     times = np.linspace(0.0, 80.0, 301)
     for _ in range(50):
-        values = transition_prob(random_params(rng), times).channels["T"]
+        values = transition_prob(random_params(rng), times)
         assert np.all(values >= 0.0)
         assert np.all(values <= 0.25)
 
@@ -76,7 +130,7 @@ def test_transition_prob_bounds_hold_at_revivals_on_uniform_grids():
     # clamp keeps from making T negative
     params = ModelParams(ratio_r=0.2, beta=0.0, kappa0=0.0, alpha_sq=16.0)
     for m in range(1, 41):
-        values = transition_prob(params, np.linspace(0.0, m * np.pi / 0.2, 300)).channels["T"]
+        values = transition_prob(params, np.linspace(0.0, m * np.pi / 0.2, 300))
         assert values[0] == 0.0
         assert np.all(values >= 0.0)
         assert np.all(values <= 0.25)
@@ -87,7 +141,7 @@ def test_zero_coupling_closed_form():
     # frequency 2*ratio_r, so P_stay = 1 - (1/4)(1 - cos(2 r t))
     params = ModelParams(ratio_r=0.2, beta=0.0, kappa0=0.0, alpha_sq=16.0)
     times = np.linspace(0.0, 50.0, 201)
-    stay = survival_prob(params, times).channels["P_stay"]
+    stay = survival_prob(params, times)
     expected = 1.0 - 0.25 * (1.0 - np.cos(2.0 * 0.2 * times))
     assert stay == pytest.approx(expected, abs=1e-11)
 
@@ -95,8 +149,8 @@ def test_zero_coupling_closed_form():
 def test_survival_is_affine_in_transition():
     params = ModelParams(ratio_r=0.12, beta=0.4193, kappa0=0.02, alpha_sq=106.0)
     times = np.linspace(0.0, 150.0, 301)
-    t_vals = transition_prob(params, times).channels["T"]
-    p_vals = survival_prob(params, times).channels["P_stay"]
+    t_vals = transition_prob(params, times)
+    p_vals = survival_prob(params, times)
     assert p_vals == pytest.approx(1.0 - 2.0 * t_vals, abs=1e-15)
     assert np.all(p_vals >= 0.5)
     assert np.all(p_vals <= 1.0)
@@ -105,8 +159,8 @@ def test_survival_is_affine_in_transition():
 def test_tail_tol_perturbation_bounded_by_discarded_mass():
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=25.0)
     times = np.linspace(0.0, 200.0, 401)
-    loose = transition_prob(params, times, tail_tol=1e-8).channels["T"]
-    tight = transition_prob(params, times, tail_tol=1e-12).channels["T"]
+    loose = transition_prob(params, times, tail_tol=1e-8)
+    tight = transition_prob(params, times, tail_tol=1e-12)
     assert np.max(np.abs(loose - tight)) <= 0.25 * 1e-8
 
 
@@ -118,17 +172,17 @@ def test_transition_prob_blocking_is_invisible():
     halves = (times[:4500], times[4500:])
     for grid in (times, *halves):
         assert not np.array_equal(grid, np.linspace(grid[0], grid[-1], grid.size))
-    whole = transition_prob(params, times).channels["T"]
-    split = np.concatenate([transition_prob(params, half).channels["T"] for half in halves])
+    whole = transition_prob(params, times)
+    split = np.concatenate([transition_prob(params, half) for half in halves])
     assert np.array_equal(whole, split)
     # on a linspace grid the phases come by angle addition from each block's
     # first time, so a value depends on where its block starts, but only within
     # the rounding of the angles (the model of the direct-trig test below),
     # summed over the coefficients
     times = np.linspace(0.0, 500.0, 9001)
-    whole = transition_prob(params, times).channels["T"]
+    whole = transition_prob(params, times)
     split = np.concatenate(
-        [transition_prob(params, half).channels["T"] for half in (times[:4500], times[4500:])]
+        [transition_prob(params, half) for half in (times[:4500], times[4500:])]
     )
     table = poisson_logweights(params.alpha_sq)
     columns = aa_columns(params, table.n_cut)
@@ -233,7 +287,7 @@ def test_peak_transition_probs_equal_series_maxima():
     times = np.linspace(0.0, 500.0, 4997)
     peaks = _peak_transition_probs(points, times)
     for point, peak in zip(points, peaks):
-        assert peak == transition_prob(point, times).channels["T"].max()
+        assert peak == transition_prob(point, times).max()
 
 
 def test_peak_transition_probs_memory_does_not_grow_with_points():
@@ -287,26 +341,26 @@ def test_two_branch_interference_degenerate_row_error():
 def test_jc_inversion_starts_at_unity_on_resonance():
     times = np.linspace(0.0, 5.0, 11)
     series = jc_inversion(0.0, 1.0, 16.0, times, tail_tol=1e-13)
-    assert abs(series.channels["W"][0] - 1.0) <= 1e-12
+    assert abs(series[0] - 1.0) <= 1e-12
 
 
 def test_jc_inversion_bounded_on_resonance():
     times = np.linspace(0.0, 60.0, 1201)
-    values = jc_inversion(0.0, 1.0, 16.0, times).channels["W"]
+    values = jc_inversion(0.0, 1.0, 16.0, times)
     assert np.all(np.abs(values) <= 1.0 + 1e-12)
 
 
 def test_jc_inversion_weak_coupling_limit():
     # g -> 0 with detuning: the constant term dominates and W stays at 1
     times = np.linspace(0.0, 100.0, 101)
-    values = jc_inversion(0.5, 1e-8, 9.0, times).channels["W"]
+    values = jc_inversion(0.5, 1e-8, 9.0, times)
     assert values == pytest.approx(np.ones_like(values), abs=1e-12)
 
 
 def test_jc_inversion_corrected_flag_changes_frequencies():
     times = np.linspace(0.0, 30.0, 601)
-    corrected = jc_inversion(0.0, 1.0, 9.0, times, corrected=True).channels["W"]
-    literal = jc_inversion(0.0, 1.0, 9.0, times, corrected=False).channels["W"]
+    corrected = jc_inversion(0.0, 1.0, 9.0, times, corrected=True)
+    literal = jc_inversion(0.0, 1.0, 9.0, times, corrected=False)
     assert np.max(np.abs(corrected - literal)) > 0.1
 
 
@@ -329,7 +383,7 @@ def test_jc_inversion_matches_dressed_state_oracle():
         states = evecs @ (phases * c0[:, None])
         sz = np.abs(states[0]) ** 2 - np.abs(states[1]) ** 2
         w_oracle += amps[n] ** 2 * sz
-    series = jc_inversion(delta, g, alpha_sq, times).channels["W"]
+    series = jc_inversion(delta, g, alpha_sq, times)
     assert series == pytest.approx(w_oracle, abs=1e-10)
     assert n_max > table.n_cut  # oracle covered the whole weight table
 
@@ -342,6 +396,10 @@ def test_jc_inversion_domain_errors():
         jc_inversion(0.0, -1.0, 9.0, times)
     with pytest.raises(DomainError):
         jc_inversion(math.nan, 1.0, 9.0, times)
+    # g * g overflows to inf, so every oscillating coefficient is inf / inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(DomainError, match="channel 'W' contains non-finite values"):
+            jc_inversion(0.0, 1e200, 4.0, times)
 
 
 def test_poisson_masses_power_transition_prob():
@@ -349,6 +407,6 @@ def test_poisson_masses_power_transition_prob():
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=25.0)
     table = poisson_logweights(25.0)
     times = np.linspace(0.0, 10.0, 21)
-    values = transition_prob(params, times).channels["T"]
+    values = transition_prob(params, times)
     # coarse upper bound: total mass times max weight times 2
     assert np.all(values <= 2.0 * 0.125 * float(table.masses().sum()) + 1e-15)

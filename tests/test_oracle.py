@@ -208,13 +208,13 @@ def test_antisymmetric_fock_states_are_stationary():
         initial_fock=10,
         compute_truncation_error=False,
     )
-    pops = result.populations.channels
+    pops = result.populations
     assert np.ptp(pops["P00"]) <= 1e-10
     assert pops["P00"][0] == pytest.approx(1.0, abs=1e-12)
     for name in ("P11", "P1m1", "P10"):
         assert np.max(np.abs(pops[name])) <= 1e-10
     # the Bell state stays maximally entangled
-    assert np.all(result.concurrence.channels["C"] >= 1.0 - 1e-10)
+    assert np.all(result.concurrence >= 1.0 - 1e-10)
 
 
 def test_zero_coupling_closed_form_populations():
@@ -223,7 +223,7 @@ def test_zero_coupling_closed_form_populations():
     params = ModelParams(ratio_r=0.2, beta=0.0, kappa0=0.0, alpha_sq=9.0)
     times = np.linspace(0.0, 40.0, 161)
     result = evolve(params, 50, times, compute_truncation_error=False)
-    pops = result.populations.channels
+    pops = result.populations
     envelope = 1.0 - np.cos(2.0 * 0.2 * times)
     assert pops["P10"] == pytest.approx(1.0 - 0.5 * envelope, abs=1e-10)
     assert pops["P11"] == pytest.approx(0.25 * envelope, abs=1e-10)
@@ -236,7 +236,7 @@ def test_unitarity_and_energy_conservation():
     n_max = 50
     times = np.linspace(0.0, 150.0, 151)
     result = evolve(params, n_max, times, compute_truncation_error=False, keep_states=True)
-    pops = result.populations.channels
+    pops = result.populations
     total = pops["P11"] + pops["P1m1"] + pops["P10"] + pops["P00"]
     assert np.max(np.abs(total - 1.0)) <= 1e-10
     h = build_hamiltonian(params, n_max)
@@ -278,7 +278,7 @@ def test_initial_state_is_maximally_entangled():
     result = evolve(
         params, 35, np.array([0.0, 0.5]), compute_truncation_error=False
     )
-    assert result.concurrence.channels["C"][0] == pytest.approx(1.0, abs=1e-12)
+    assert result.concurrence[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ed_tracks_doubled_transition_series_in_aa_regime():
@@ -286,8 +286,8 @@ def test_ed_tracks_doubled_transition_series_in_aa_regime():
     params = ModelParams(ratio_r=0.05, beta=0.2, kappa0=0.0, alpha_sq=9.0)
     times = np.linspace(0.0, 200.0, 401)
     result = evolve(params, 60, times, compute_truncation_error=False)
-    series = transition_prob(params, times).channels["T"]
-    gap = np.max(np.abs(result.populations.channels["P11"] - 2.0 * series))
+    series = transition_prob(params, times)
+    gap = np.max(np.abs(result.populations["P11"] - 2.0 * series))
     assert gap <= 0.06  # recorded cross-validation tolerance
 
 
@@ -321,7 +321,7 @@ def test_variant_discrimination_stable_across_parameter_set():
     ]
     times = np.linspace(0.0, 150.0, 301)
     for params, n_max in cases:
-        series = transition_prob(params, times).channels["T"]
+        series = transition_prob(params, times)
         gaps = {}
         for reading, scale in (("half_sum", 1.0), ("pauli_sum", 2.0)):
             result = evolve(
@@ -331,7 +331,7 @@ def test_variant_discrimination_stable_across_parameter_set():
                 compute_truncation_error=False,
             )
             gaps[reading] = float(
-                np.max(np.abs(result.populations.channels["P11"] - 2.0 * series))
+                np.max(np.abs(result.populations["P11"] - 2.0 * series))
             )
         assert gaps["half_sum"] < 0.1
         assert gaps["pauli_sum"] > 2.0 * gaps["half_sum"]
@@ -517,12 +517,12 @@ def test_evolve_matches_full_space_dense_evolution(spin, initial_fock):
         sectors = states.reshape(4, n_osc, times.size)
         pops = np.sum(np.abs(sectors) ** 2, axis=1)
         for row, name in enumerate(("P11", "P1m1", "P10", "P00")):
-            assert np.abs(result.populations.channels[name] - pops[row]).max() <= 1e-10
+            assert np.abs(result.populations[name] - pops[row]).max() <= 1e-10
         for j in range(times.size):
             rho = COMPOSITE_IN_PRODUCT @ (sectors[:, :, j] @ sectors[:, :, j].conj().T)
             rho = rho @ COMPOSITE_IN_PRODUCT.T
             expected = _wootters(rho / np.trace(rho).real)
-            assert result.concurrence.channels["C"][j] == pytest.approx(expected, abs=1e-10)
+            assert result.concurrence[j] == pytest.approx(expected, abs=1e-10)
 
 
 def test_evolve_memory_does_not_grow_with_time_points():
@@ -622,10 +622,10 @@ def test_pruned_evolution_matches_unpruned_dense_evolution(spin, initial_fock, m
     sectors = states.reshape(4, n_osc, times.size)
     pops = np.sum(np.abs(sectors) ** 2, axis=1)
     for row, name in enumerate(("P11", "P1m1", "P10", "P00")):
-        assert np.abs(result.populations.channels[name] - pops[row]).max() <= 1e-12
+        assert np.abs(result.populations[name] - pops[row]).max() <= 1e-12
     rho = COMPOSITE_IN_PRODUCT @ np.einsum("knt,lnt->tkl", sectors, sectors.conj())
     expected = [_wootters(r / np.trace(r).real) for r in rho @ COMPOSITE_IN_PRODUCT.T]
-    assert np.abs(result.concurrence.channels["C"] - expected).max() <= 1e-12
+    assert np.abs(result.concurrence - expected).max() <= 1e-12
     # against the same evolution with nothing left out, the skipped entries are
     # exact zeros and no amplitude moves by more than 2 * PRUNE_BOUND
     monkeypatch.setattr(oracle, "PRUNE_BOUND", 0.0)

@@ -24,6 +24,7 @@ from rabi_ent import (
     objective,
     poisson_logweights,
     refine,
+    required_n_max,
     survival_prob,
     transition_prob,
     two_branch_interference_check,
@@ -218,6 +219,10 @@ REAL_SITES = {
         lambda x: poisson_logweights(4.0, tail_tol=x),
         "tail_tol must be a real number",
     ),
+    "required_n_max.alpha_sq": (
+        lambda x: required_n_max(x),
+        "alpha_sq must be a real number >= 0",
+    ),
     "jc_inversion.delta": (
         lambda x: jc_inversion(x, 1.0, 4.0, [0.0, 1.0]),
         "delta must be a real number",
@@ -299,6 +304,12 @@ def test_refine_rejects_a_zero_step_and_a_negative_ftol(kwargs, message):
     args = {"start_point": {"beta": 0.5}, "step_scales": {"beta": 0.1}, **kwargs}
     with pytest.raises(DomainError, match=message):
         refine(**args, objective_fn=quadratic)
+
+
+@pytest.mark.parametrize("alpha_sq", [-0.5, -2.0, np.float32(-1e-30)])
+def test_required_n_max_rejects_a_negative_alpha_sq(alpha_sq):
+    with pytest.raises(DomainError, match="alpha_sq must be a real number >= 0"):
+        required_n_max(alpha_sq)
 
 
 def test_capacity_ceilings_are_constants_not_inputs():

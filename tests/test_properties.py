@@ -33,7 +33,7 @@ def t_of(times, **fields):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdiabaticRegimeWarning)
         params = ModelParams(**fields)
-    return transition_prob(params, times).channels["T"]
+    return transition_prob(params, times)
 
 
 @PROPERTY_SETTINGS
