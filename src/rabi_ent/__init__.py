@@ -15,12 +15,7 @@ from .errors import (
     TruncationWarning,
 )
 from .params import KappaConvention, ModelParams, SpinState, effective_kappa
-from .specialfn import (
-    DEFAULT_TAIL_TOL,
-    LogWeightTable,
-    laguerre_sequence,
-    poisson_logweights,
-)
+from .specialfn import DEFAULT_TAIL_TOL, laguerre_sequence, poisson_logweights
 from .spectrum import AASpectrumRow, aa_row, aa_rows
 from .dynamics import (
     jc_inversion,
@@ -49,7 +44,6 @@ __all__ = [
     "DomainError",
     "EDResult",
     "KappaConvention",
-    "LogWeightTable",
     "ModelParams",
     "ScanResult",
     "ScanSpec",

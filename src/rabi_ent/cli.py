@@ -104,7 +104,7 @@ def _spectrum(cfg: dict):
     rows_cfg = section(cfg, "spectrum")
     n_min, n_max = rows_cfg["n_min"], rows_cfg["n_max"]
     if n_max is None:
-        n_max = poisson_logweights(params.alpha_sq, section(cfg, "tail_tol")).n_cut
+        n_max = poisson_logweights(params.alpha_sq, section(cfg, "tail_tol")).size - 1
     header = ("N", "omega1N", "omega2N", "t0tilde", "e0", "eplus", "eminus", "weight", "rabi_freq")
     columns = tuple(map(aa_columns(params, n_max, n_min).get, header))
     return header, columns, {"n_min": n_min, "n_max": n_max}, f"({n_max - n_min + 1} rows)"

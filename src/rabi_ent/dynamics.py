@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 from .params import ModelParams, _is_real
-from .specialfn import DEFAULT_TAIL_TOL, LogWeightTable, poisson_logweights
+from .specialfn import DEFAULT_TAIL_TOL, poisson_logweights
 from .spectrum import aa_columns, aa_row
 
 _PHASE_BLOCK = 128
@@ -92,9 +92,9 @@ def _cosine_average(
     return out
 
 
-def _t_coefficients(table: LogWeightTable, columns: dict[str, np.ndarray]) -> np.ndarray:
-    """p(N) * weight_N for N = 0 .. table.n_cut; ``columns`` may reach past n_cut."""
-    return table.masses() * columns["weight"][: table.n_cut + 1]
+def _t_coefficients(log_p: np.ndarray, columns: dict[str, np.ndarray]) -> np.ndarray:
+    """p(N) * weight_N for N = 0 .. log_p.size - 1; ``columns`` may reach past that."""
+    return np.exp(log_p) * columns["weight"][: log_p.size]
 
 
 def transition_prob(
@@ -108,9 +108,9 @@ def transition_prob(
     the (1 - cos) factor at most 2, so 0 <= T(t) <= 1/4; T(0) = 0 exactly.
     """
     times = _as_times(times)
-    table = poisson_logweights(params.alpha_sq, tail_tol)
-    columns = aa_columns(params, table.n_cut)
-    T = _cosine_average(_t_coefficients(table, columns), columns["rabi_freq"], times, 1.0)
+    log_p = poisson_logweights(params.alpha_sq, tail_tol)
+    columns = aa_columns(params, log_p.size - 1)
+    T = _cosine_average(_t_coefficients(log_p, columns), columns["rabi_freq"], times, 1.0)
     return _finite("T", T)
 
 
@@ -142,14 +142,14 @@ def _peak_transition_probs(
         rows_by_alpha.setdefault(params.alpha_sq, []).append(i)
     peaks = np.full(len(points), -np.inf)
     width = min(times.size, _PHASE_BLOCK)
-    groups: dict[tuple, list[tuple[int, LogWeightTable]]] = {}
+    groups: dict[tuple, list[tuple[int, np.ndarray]]] = {}
     held = longest = 0
     for k, (alpha_sq, rows) in enumerate(rows_by_alpha.items(), 1):
-        table = poisson_logweights(alpha_sq, tail_tol)
+        log_p = poisson_logweights(alpha_sq, tail_tol)
         for i in rows:
-            groups.setdefault(_spectrum_key(points[i]), []).append((i, table))
-        held += table.n_cut + 1
-        longest = max(longest, table.n_cut + 1)
+            groups.setdefault(_spectrum_key(points[i]), []).append((i, log_p))
+        held += log_p.size
+        longest = max(longest, log_p.size)
         if held >= longest * width or k == len(rows_by_alpha):
             for members in groups.values():
                 _group_peaks(points[members[0][0]], members, times, peaks)
@@ -159,17 +159,18 @@ def _peak_transition_probs(
 
 def _group_peaks(
     params: ModelParams,
-    members: list[tuple[int, LogWeightTable]],
+    members: list[tuple[int, np.ndarray]],
     times: np.ndarray,
     peaks: np.ndarray,
 ) -> None:
-    """Raise ``peaks[i]`` to max_t T(t) of ``params`` under ``table``, for each (i, table).
+    """Raise ``peaks[i]`` to max_t T(t) of ``params`` under the Poisson weights ``log_p``,
+    for each (i, log_p).
 
     One spectrum and one block at a time; both are freed on return, before
     the next group builds its own.
     """
-    columns = aa_columns(params, max(table.n_cut for _, table in members))
-    coeffs = [(i, _t_coefficients(table, columns)) for i, table in members]
+    columns = aa_columns(params, max(log_p.size for _, log_p in members) - 1)
+    coeffs = [(i, _t_coefficients(log_p, columns)) for i, log_p in members]
     for _, cos, _ in _phase_blocks(columns["rabi_freq"], times, _sin=False):
         block = np.subtract(1.0, np.clip(cos, -1.0, 1.0, out=cos), out=cos)
         for i, coeff in coeffs:
@@ -205,9 +206,8 @@ def jc_inversion(
         raise DomainError(f"g must be a real number > 0, got {g!r}")
     delta, g = float(delta), float(g)
     times = _as_times(times)
-    table = poisson_logweights(alpha_sq, tail_tol)
-    p = table.masses()
-    n_plus_1 = np.arange(1.0, table.n_cut + 2.0)
+    p = np.exp(poisson_logweights(alpha_sq, tail_tol))
+    n_plus_1 = np.arange(1.0, p.size + 1.0)
     if corrected:
         om = np.sqrt(delta * delta + 4.0 * g * g * n_plus_1)
     else:

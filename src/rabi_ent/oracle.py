@@ -73,7 +73,7 @@ _SYSY = np.array(
 
 @dataclass(frozen=True)
 class EDResult:
-    """Eigendecomposition summary plus time-evolved observables.
+    """Time-evolved observables of the dense oracle.
 
     ``populations`` maps P11, P1m1, P10 and P00, and ``concurrence`` holds C,
     each one value per time.  ``truncation_error`` is the sup-norm change of the
@@ -83,7 +83,6 @@ class EDResult:
     of reach of the initial state (see PRUNE_BOUND) are exact zeros.
     """
 
-    eigenvalues: np.ndarray
     populations: dict[str, np.ndarray]
     concurrence: np.ndarray
     truncation_error: float | None
@@ -234,6 +233,8 @@ def _initial_vector(
     initial_spin: SpinState,
     initial_fock: int | None,
 ) -> np.ndarray:
+    if not isinstance(initial_spin, SpinState):
+        raise DomainError("initial_spin must be a SpinState member")
     psi0 = np.zeros((SPIN_DIM, n_max + 1))
     sector = _SPIN_INDEX[initial_spin]
     if initial_fock is None:
@@ -278,9 +279,9 @@ def _evolution(
     n_max: int,
     times: np.ndarray,
     psi0: np.ndarray,
-) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray]]]:
-    """The full sorted spectrum, and the real and imaginary parts of the sector amplitudes
-    evolved from ``psi0`` (an ``_initial_vector`` at ``n_max``) as (start, re, im) for
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The real and imaginary parts of the sector amplitudes evolved from ``psi0``
+    (an ``_initial_vector`` at ``n_max``) as (start, re, im) for
     times[start : start + rows], one block of at most _PHASE_BLOCK rows at a time, re and
     im of shape (rows, 4, n_osc).
 
@@ -294,14 +295,13 @@ def _evolution(
     into the same two buffers: a block is valid until the next one is drawn.
     """
     n_osc = n_max + 1
-    spectra = [np.arange(n_osc) + effective_kappa(params)]
-    singlet = _phase_blocks(-spectra[0], times) if psi0[3].any() else None
+    singlet_energies = np.arange(n_osc) + effective_kappa(params)
+    singlet = _phase_blocks(-singlet_energies, times) if psi0[3].any() else None
     parts = []
     for parity in (0, 1):
         signs = _parity_signs(n_osc, parity)
         psi = np.concatenate([(psi0[0] + signs * psi0[1]) * _SQRT_HALF, psi0[2, parity::2]])
         evals, evecs = _checked_eigh(*_parity_block(params, n_max, parity))
-        spectra.append(evals)
         coeff = evecs.T @ psi
         kept = _kept(np.abs(coeff))
         magnitudes = evecs[:, kept]
@@ -336,7 +336,7 @@ def _evolution(
             im[:, :2] *= scale
             yield start, re, im
 
-    return np.sort(np.concatenate(spectra)), blocks()
+    return blocks()
 
 
 def _populations(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -374,9 +374,9 @@ def evolve(
     if compute_truncation_error:
         bigger = n_max + TRUNCATION_MARGIN
         psi_big = _initial_vector(params, bigger, initial_spin, initial_fock)
-        blocks = _evolution(params, bigger, times, psi_big)[1]
+        blocks = _evolution(params, bigger, times, psi_big)
         pops_big = np.hstack([_populations(re, im) for _, re, im in blocks])
-    evals, blocks = _evolution(params, n_max, times, psi0)
+    blocks = _evolution(params, n_max, times, psi0)
     pops = np.empty((SPIN_DIM, times.size))
     rho = np.empty((times.size, SPIN_DIM, SPIN_DIM), dtype=complex)
     states = np.empty((SPIN_DIM, n_max + 1, times.size), complex) if keep_states else None
@@ -402,7 +402,6 @@ def evolve(
                 stacklevel=2,
             )
     return EDResult(
-        eigenvalues=evals,
         populations=dict(zip(("P11", "P1m1", "P10", "P00"), pops)),
         concurrence=conc,
         truncation_error=truncation_error,

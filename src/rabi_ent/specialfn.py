@@ -8,7 +8,6 @@ x >= 1/16, where 2k+1-x is exact, and by 2.2e-12 at the fig4 beta^2, 6.3e-11 at 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,26 +34,6 @@ def laguerre_sequence(n_max: int, x: float) -> np.ndarray:
     return np.array(values[: n_max + 1])
 
 
-@dataclass(frozen=True)
-class LogWeightTable:
-    """Log-space Poisson photon-number weights of a coherent state.
-
-    Covers N = 0 .. n_cut, where the cumulative mass reaches at least
-    1 - tail_tol (up to float64 resolution, about 1e-15).
-    """
-
-    alpha_sq: float
-    log_p: np.ndarray
-    tail_tol: float
-
-    @property
-    def n_cut(self) -> int:
-        return len(self.log_p) - 1
-
-    def masses(self) -> np.ndarray:
-        return np.exp(self.log_p)
-
-
 def poisson_logpmf(alpha_sq: float, n_max: int) -> np.ndarray:
     """log p(N) = -alpha_sq + N log(alpha_sq) - log N! for N = 0 .. n_max.
 
@@ -70,11 +49,15 @@ def poisson_logpmf(alpha_sq: float, n_max: int) -> np.ndarray:
     return log_p
 
 
-def poisson_logweights(alpha_sq: float, tail_tol: float = DEFAULT_TAIL_TOL) -> LogWeightTable:
-    """Poisson weights log p(N) from :func:`poisson_logpmf`.
+def poisson_logweights(alpha_sq: float, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
+    """Log-space Poisson photon-number weights log p(N) of a coherent state, from
+    :func:`poisson_logpmf`, for N = 0 .. n_cut: n_cut is the first N whose cumulative
+    mass reaches 1 - tail_tol, and the array's size is n_cut + 1.
 
-    The table stops at the first N whose cumulative mass reaches
-    1 - tail_tol.
+    The captured mass sum_N p(N) is at least 1 - tail_tol, up to about 1e-15, for
+    alpha_sq <= 2000.  Past that the terms of log p(N) cancel from ever larger
+    magnitudes; at tail_tol = 1e-12, on alpha_sq in steps of 10, 1 - sum_N p(N) is
+    first too large at 2270 (1.05e-12), reaches 5.0e-12 below 5300 and is 1.58e-11 at 2e4.
     """
     if not (_is_real(alpha_sq) and alpha_sq >= 0.0):
         raise DomainError(f"alpha_sq must be a real number >= 0, got {alpha_sq!r}")
@@ -89,5 +72,5 @@ def poisson_logweights(alpha_sq: float, tail_tol: float = DEFAULT_TAIL_TOL) -> L
     # the mass at n_hi is below 1e-34 for every alpha_sq under the ceiling, far below float64
     # resolution near 1: a table that misses 1 - tail_tol here misses it at any larger n_hi
     cut = int(hit[0]) if hit.size else n_hi
-    # a copy, so that the table does not keep the whole trial array alive
-    return LogWeightTable(alpha_sq, log_p[: cut + 1].copy(), tail_tol)
+    # a copy, so that the result does not keep the whole trial array alive
+    return log_p[: cut + 1].copy()

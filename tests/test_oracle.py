@@ -16,6 +16,7 @@ from rabi_ent import (
     TruncationWarning,
     build_hamiltonian,
     concurrence,
+    effective_kappa,
     eigendecompose,
     evolve,
     poisson_logweights,
@@ -24,7 +25,7 @@ from rabi_ent import (
 )
 from rabi_ent.dynamics import _PHASE_BLOCK
 from rabi_ent import oracle
-from rabi_ent.oracle import PRUNE_BOUND, TRUNCATION_MARGIN, _checked_eigh
+from rabi_ent.oracle import PRUNE_BOUND, TRUNCATION_MARGIN, _checked_eigh, _parity_block
 
 BELL_SYMMETRIC = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
 
@@ -173,9 +174,9 @@ def test_coherent_amplitudes_norm_and_values():
 
 @pytest.mark.parametrize("alpha_sq", [0.0, 0.0033, 0.37, 16.0, 106.0, 250.0])
 def test_coherent_amplitudes_are_square_roots_of_the_poisson_table(alpha_sq):
-    table = poisson_logweights(alpha_sq)
-    amps = _coherent_amplitudes(alpha_sq, max(table.n_cut, required_n_max(alpha_sq)))
-    assert np.array_equal(amps[: table.n_cut + 1], np.exp(0.5 * table.log_p))
+    log_p = poisson_logweights(alpha_sq)
+    amps = _coherent_amplitudes(alpha_sq, max(log_p.size - 1, required_n_max(alpha_sq)))
+    assert np.array_equal(amps[: log_p.size], np.exp(0.5 * log_p))
 
 
 def test_evolve_requires_adequate_cutoff():
@@ -190,7 +191,7 @@ def test_invalid_initial_state_fails_before_any_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda h: dims.append(np.ndim(h)) or eigh(h))
     params = ModelParams(ratio_r=0.05, beta=0.2, alpha_sq=9.0)
     n_max = required_n_max(params.alpha_sq) - 1
-    for start in ({"initial_fock": n_max + 1}, {}):
+    for start in ({"initial_fock": n_max + 1}, {}, {"initial_spin": "J1M0"}):
         with pytest.raises(DomainError):
             evolve(params, n_max, [0.0, 1.0], compute_truncation_error=True, **start)
     assert dims == []
@@ -294,7 +295,7 @@ def test_ed_tracks_doubled_transition_series_in_aa_regime():
 def test_low_spectrum_matches_closed_forms_in_slow_qubit_regime():
     # for a very slow qubit the closed-form tower {e0, e+, e-} per N plus the
     # decoupled antisymmetric tower N + k_eff approximates the exact spectrum
-    from rabi_ent import aa_rows, effective_kappa
+    from rabi_ent import aa_rows
 
     params = ModelParams(ratio_r=0.02, beta=0.2, kappa0=0.1, alpha_sq=0.0)
     n_max = 60
@@ -398,6 +399,10 @@ def test_concurrence_rejects_invalid_density_matrices():
         concurrence(not_psd)
     with pytest.raises(DomainError):
         concurrence(np.eye(2) / 2.0)
+    with_nan = np.eye(4) / 4.0
+    with_nan[0, 1] = np.nan
+    with pytest.raises(DomainError, match="density matrix contains non-finite entries"):
+        concurrence(with_nan)
 
 
 def test_n_max_validation():
@@ -451,8 +456,6 @@ def _parity_basis(n_max: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
 @pytest.mark.parametrize("beta_scale", [1.0, 2.0])
 @pytest.mark.parametrize("n_max", [12, 13])
 def test_parity_blocks_are_projections_of_the_full_hamiltonian(beta_scale, n_max):
-    from rabi_ent.oracle import _parity_block
-
     params = replace(PARITY_PARAMS, beta=beta_scale * PARITY_PARAMS.beta)
     h = build_hamiltonian(params, n_max)
     norm = np.linalg.norm(h, 2)
@@ -466,11 +469,14 @@ def test_parity_blocks_are_projections_of_the_full_hamiltonian(beta_scale, n_max
 
 
 def test_evolve_spectrum_is_the_full_spectrum():
+    # the two parity blocks and the |0,0> energies n + k_eff are all that evolve diagonalizes
     n_max = 17
-    result = evolve(PARITY_PARAMS, n_max, [0.0, 1.0], compute_truncation_error=False)
+    blocks = [_checked_eigh(*_parity_block(PARITY_PARAMS, n_max, p))[0] for p in (0, 1)]
+    singlet = np.arange(n_max + 1) + effective_kappa(PARITY_PARAMS)
+    spectrum = np.sort(np.concatenate([singlet, *blocks]))
     full, _ = eigendecompose(build_hamiltonian(PARITY_PARAMS, n_max))
-    assert result.eigenvalues.shape == (4 * (n_max + 1),)
-    assert np.abs(result.eigenvalues - full).max() <= 1e-10
+    assert spectrum.shape == (4 * (n_max + 1),)
+    assert np.abs(spectrum - full).max() <= 1e-10
 
 
 def _wootters(rho: np.ndarray) -> float:
@@ -574,8 +580,6 @@ def test_concurrence_of_a_stack_matches_each_matrix():
 @pytest.mark.parametrize("beta_scale", [1.0, 2.0])
 @pytest.mark.parametrize("n_max", [0, 1, 12, 13])
 def test_parity_block_product_is_the_dense_product(beta_scale, n_max):
-    from rabi_ent.oracle import _parity_block
-
     params = replace(PARITY_PARAMS, beta=beta_scale * PARITY_PARAMS.beta)
     rng = np.random.default_rng(n_max)
     for parity in (0, 1):

@@ -306,6 +306,27 @@ def test_refine_rejects_a_zero_step_and_a_negative_ftol(kwargs, message):
         refine(**args, objective_fn=quadratic)
 
 
+# the public enum inputs, with the message each raises for a value that is not a member
+ENUM_SITES = {
+    "ModelParams.kappa_convention": (
+        lambda x: make(kappa_convention=x),
+        "kappa_convention must be a KappaConvention member",
+    ),
+    "evolve.initial_spin": (
+        lambda x: evolve(make(), 4, [0.0], initial_spin=x, compute_truncation_error=False),
+        "initial_spin must be a SpinState member",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", ["omega_scaled", "J1M0", "1,0", None, 2])
+@pytest.mark.parametrize("site", list(ENUM_SITES))
+def test_enum_inputs_take_only_members(site, value):
+    build, message = ENUM_SITES[site]
+    with pytest.raises(DomainError, match=message):
+        build(value)
+
+
 @pytest.mark.parametrize("alpha_sq", [-0.5, -2.0, np.float32(-1e-30)])
 def test_required_n_max_rejects_a_negative_alpha_sq(alpha_sq):
     with pytest.raises(DomainError, match="alpha_sq must be a real number >= 0"):

@@ -59,6 +59,12 @@ def test_scan_spec_partition_checks():
             fixed={"beta": 0.1, "ratio_r": 0.2, "kappa0": 0.0, "alpha_sq": 4.0},
             horizon=10.0,
         )
+    with pytest.raises(DomainError, match="cannot fix unknown parameter 'gamma'"):
+        ScanSpec(
+            ranges={},
+            fixed={"beta": 0.1, "ratio_r": 0.2, "kappa0": 0.0, "alpha_sq": 4.0, "gamma": 1.0},
+            horizon=10.0,
+        )
 
 
 def test_grid_scan_degenerate_single_point():
