@@ -114,46 +114,36 @@ def transition_prob(
     return _finite("T", T)
 
 
-def _spectrum_key(params: ModelParams) -> tuple:
-    """Every field of ``params`` but alpha_sq, floats by their bits (0.0 and -0.0 differ)."""
-    return tuple(
-        value.hex() if isinstance(value, float) else value
-        for name, value in vars(params).items()
-        if name != "alpha_sq"
-    )
-
-
 def _peak_transition_probs(
     points: Sequence[ModelParams], times: np.ndarray, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> np.ndarray:
     """max_t T(t) of every parameter set in ``points`` on a valid time grid.
 
-    Each peak equals ``transition_prob(p, times, tail_tol).max()``
-    bit for bit, except that a NaN in T gives a NaN peak instead of an error
-    (elsewhere T lies in [0, 1/4]).  T reads alpha_sq only through the
-    Poisson weights, so each distinct alpha_sq gets one Poisson table, and
-    points that differ only in alpha_sq share one spectrum and one (1 - cos)
-    block per block of times.  Tables are held in batches that together take
-    about the room of one such block, and each point is reduced to its
-    running maximum, so memory does not grow with the number of points.
+    Each peak equals ``transition_prob(p, times, tail_tol).max()`` bit for bit,
+    except that a NaN in T gives a NaN peak instead of an error.  T reads
+    alpha_sq only through the Poisson weights, so each distinct alpha_sq gets
+    one table, and points that differ only in alpha_sq (or in the sign of a
+    zero, which T does not read) share one spectrum and one (1 - cos) block.
+    The distinct alpha_sq go in order of first appearance, as many at a time
+    as a block has times, so the tables held take at most one block's room;
+    each point keeps only its running maximum.
     """
     rows_by_alpha: dict[float, list[int]] = {}
     for i, params in enumerate(points):
         rows_by_alpha.setdefault(params.alpha_sq, []).append(i)
+    alphas = list(rows_by_alpha.items())
     peaks = np.full(len(points), -np.inf)
     width = min(times.size, _PHASE_BLOCK)
-    groups: dict[tuple, list[tuple[int, np.ndarray]]] = {}
-    held = longest = 0
-    for k, (alpha_sq, rows) in enumerate(rows_by_alpha.items(), 1):
-        log_p = poisson_logweights(alpha_sq, tail_tol)
-        for i in rows:
-            groups.setdefault(_spectrum_key(points[i]), []).append((i, log_p))
-        held += log_p.size
-        longest = max(longest, log_p.size)
-        if held >= longest * width or k == len(rows_by_alpha):
-            for members in groups.values():
-                _group_peaks(points[members[0][0]], members, times, peaks)
-            groups, held, longest = {}, 0, 0
+    for start in range(0, len(alphas), width):
+        groups: dict[tuple, list[tuple[int, np.ndarray]]] = {}
+        for alpha_sq, rows in alphas[start : start + width]:
+            log_p = poisson_logweights(alpha_sq, tail_tol)
+            for i in rows:
+                p = points[i]
+                key = (p.ratio_r, p.beta, p.kappa0, p.kappa_convention)
+                groups.setdefault(key, []).append((i, log_p))
+        for members in groups.values():
+            _group_peaks(points[members[0][0]], members, times, peaks)
     return peaks
 
 

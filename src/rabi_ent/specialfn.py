@@ -54,10 +54,10 @@ def poisson_logweights(alpha_sq: float, tail_tol: float = DEFAULT_TAIL_TOL) -> n
     :func:`poisson_logpmf`, for N = 0 .. n_cut: n_cut is the first N whose cumulative
     mass reaches 1 - tail_tol, and the array's size is n_cut + 1.
 
-    The captured mass sum_N p(N) is at least 1 - tail_tol, up to about 1e-15, for
-    alpha_sq <= 2000.  Past that the terms of log p(N) cancel from ever larger
-    magnitudes; at tail_tol = 1e-12, on alpha_sq in steps of 10, 1 - sum_N p(N) is
-    first too large at 2270 (1.05e-12), reaches 5.0e-12 below 5300 and is 1.58e-11 at 2e4.
+    The captured mass sum_N p(N) is at least 1 - tail_tol, up to 2e-15, for alpha_sq < 1227.3.
+    Past that the terms of log p(N) cancel from ever larger magnitudes; at tail_tol = 1e-12,
+    1 - sum_N p(N) first exceeds 1.1e-12 at 1323.1 and reaches 1.60e-12 at 1841.2 (alpha_sq
+    in steps of 0.05), 5.0e-12 below 5300 and 1.58e-11 at 2e4 (in steps of 10).
     """
     if not (_is_real(alpha_sq) and alpha_sq >= 0.0):
         raise DomainError(f"alpha_sq must be a real number >= 0, got {alpha_sq!r}")

@@ -250,6 +250,17 @@ def test_spectrum_columns_and_uncoupled_weight(tmp_path, monkeypatch):
     assert np.all(data["N"] == np.arange(26))
 
 
+def test_spectrum_rows_default_to_the_poisson_cut(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "cfg.json", {"model": AA_VALID_MODEL, "tail_tol": 1e-8})
+    assert main(["spectrum", "--config", cfg, "--out", "spec.csv"]) == 0
+    n_cut = specialfn.poisson_logweights(9.0, 1e-8).size - 1
+    assert n_cut < specialfn.poisson_logweights(9.0).size - 1
+    assert read_csv(tmp_path / "spec.csv")["N"].tolist() == list(range(n_cut + 1))
+    sidecar = json.loads((tmp_path / "spec.csv.json").read_text())
+    assert (sidecar["n_min"], sidecar["n_max"]) == (0, n_cut)
+
+
 def test_oracle_stationary_initial_state(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(
@@ -358,6 +369,12 @@ def test_unknown_key_rejected(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_unreadable_config_is_config_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        assert main(["tprob", "--config", str(path)]) == 2
+        assert f"config error: cannot read config file {path}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text",
     ["{not json", '{"model": {"ratio_r": 0.2, "beta": 1' + "0" * 5000 + "}}"],
@@ -413,6 +430,17 @@ def test_out_path_respected(tmp_path, monkeypatch):
     assert main(["tprob", "--fig", "1", "--panel", "2", "--out", str(out)]) == 0
     assert out.exists()
     assert (tmp_path / "nested" / "series.csv.json").exists()
+
+
+def test_failed_replace_leaves_no_file_behind(tmp_path, monkeypatch):
+    def failing(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", failing)
+    out = tmp_path / "nested"
+    with pytest.raises(PermissionError, match="series.csv"):
+        main(["tprob", "--fig", "1", "--panel", "2", "--out", str(out / "series.csv")])
+    assert list(out.iterdir()) == []
 
 
 def test_configured_output_path_used_when_out_flag_absent(tmp_path, monkeypatch):

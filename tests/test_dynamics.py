@@ -276,16 +276,49 @@ def test_phase_blocks_cos_only_is_the_same_cos(times):
         assert cos.tobytes() == full_cos.tobytes()
 
 
-def test_peak_transition_probs_equal_series_maxima():
+@pytest.fixture
+def built_spectra(monkeypatch):
+    """(params, n_max) of every spectrum the dynamics module builds, in order."""
+    built = []
+
+    def counting(params, n_max):
+        built.append((params, n_max))
+        return aa_columns(params, n_max)
+
+    monkeypatch.setattr(rabi_ent.dynamics, "aa_columns", counting)
+    return built
+
+
+def test_peak_transition_probs_equal_series_maxima(built_spectra):
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=16.0)
     points = [replace(params, alpha_sq=a) for a in (16.0, 0.0, 40.0, 2.5)]
     points += [
         replace(params, beta=-0.26, alpha_sq=40.0),
         replace(params, beta=0.0, kappa0=-0.0, alpha_sq=2.5),
         replace(params, beta=0.0, kappa0=0.0, alpha_sq=2.5),
+        replace(params, beta=-0.0, alpha_sq=16.0),
+        replace(params, beta=0.0, alpha_sq=16.0),
     ]
+    with pytest.warns(AdiabaticRegimeWarning):
+        points += [replace(params, ratio_r=r, alpha_sq=16.0) for r in (-0.0, 0.0)]
     times = np.linspace(0.0, 500.0, 4997)
     peaks = _peak_transition_probs(points, times)
+    # T does not read the sign of a zero, so each +-0.0 pair shares one spectrum
+    assert len(built_spectra) == 5
+    for point, peak in zip(points, peaks):
+        assert peak == transition_prob(point, times).max()
+
+
+def test_peak_transition_probs_takes_one_block_width_of_alpha_sq_at_a_time(built_spectra):
+    # 5 times: a block is 5 wide, so 12 distinct alpha_sq make batches of 5, 5 and 2,
+    # each with one spectrum as long as its longest table
+    params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1)
+    alphas = [12.0, 3.0, 7.0, 1.0, 2.0, 4.0, 5.0, 6.0, 8.0, 9.0, 10.0, 11.0]
+    points = [replace(params, alpha_sq=a) for a in alphas + alphas[::-1]]
+    times = np.linspace(0.0, 50.0, 5)
+    peaks = _peak_transition_probs(points, times)
+    n_cut = {a: poisson_logweights(a).size - 1 for a in alphas}
+    assert [n_max for _, n_max in built_spectra] == [n_cut[12.0], n_cut[9.0], n_cut[11.0]]
     for point, peak in zip(points, peaks):
         assert peak == transition_prob(point, times).max()
 
