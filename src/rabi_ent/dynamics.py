@@ -7,6 +7,7 @@ for the collapse-and-revival contrast.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -37,14 +38,13 @@ def _finite(name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _phase_blocks(freqs: np.ndarray, times: np.ndarray, _sin: bool = True) -> Iterator[tuple]:
+def _phase_blocks(freqs: np.ndarray, times: np.ndarray) -> Iterator[tuple]:
     """Yield (start, cos, sin) of outer(times[start : start + _PHASE_BLOCK], freqs).
 
     On a grid equal bit for bit to np.linspace(times[0], times[-1], n), the angles
     w*(t_s + j*dt), t_s a block's first time and 0 <= j < _PHASE_BLOCK, come by
     angle addition from those of w*t_s and w*j*dt: N*(_PHASE_BLOCK + n/_PHASE_BLOCK)
-    trig calls, not N*n.  Any other grid takes np.cos and np.sin directly.  With
-    ``_sin`` false (T, W, the grid scan) sin is None and cos keeps the same bits.
+    trig calls, not N*n.  Any other grid takes np.cos and np.sin directly.
 
     Every block is written into the same two buffers, which the caller may
     overwrite: a block is valid until the next one is drawn.  All buffers come
@@ -66,30 +66,53 @@ def _phase_blocks(freqs: np.ndarray, times: np.ndarray, _sin: bool = True) -> It
             cos_s, sin_s = np.cos(times[start] * freqs), np.sin(times[start] * freqs)
             np.multiply(cos_j[:rows], cos_s, out=c)
             c -= np.multiply(sin_j[:rows], sin_s, out=t)
-            if _sin:
-                np.multiply(sin_j[:rows], cos_s, out=s)
-                s += np.multiply(cos_j[:rows], sin_s, out=t)
+            np.multiply(sin_j[:rows], cos_s, out=s)
+            s += np.multiply(cos_j[:rows], sin_s, out=t)
         else:
             np.outer(times[start : start + rows], freqs, out=t)
             np.cos(t, out=c)
-            if _sin:
-                np.sin(t, out=s)
-        yield start, c, s if _sin else None
+            np.sin(t, out=s)
+        yield start, c, s
+
+
+def _cosine_rows(coeffs: list, freqs: np.ndarray, times: np.ndarray, shift: float) -> Iterator:
+    """Yield (r, values): sum_N coeffs[r]_N (shift - cos(freqs_N t)) on row r's next
+    times, for rows coeffs[r] >= 0 that each read the leading freqs.
+
+    On a linspace grid, t = t_s + j dt with a = freqs j dt, b = freqs t_s, each term is
+    (shift - cos a) + cos a (1 - cos b) + sin a sin b: a table of a for j < w ~ sqrt(n),
+    b for _PHASE_BLOCK / 2 block starts at a time, two matrix-vector products per block
+    and row.  Other grids take :func:`_phase_blocks`' direct trig.  Rows read prefix
+    views of shared tables, so a row's bits are those of a call with it alone.  Values
+    are clamped into [shift - 1, shift + 1] * sum(coeffs[r]): T(0) = 0 exactly.
+    """
+    bounds = [((shift - 1.0) * c.sum(), (shift + 1.0) * c.sum()) for c in coeffs]
+    if not np.array_equal(times, np.linspace(times[0], times[-1], times.size)):
+        for _, cos, _ in _phase_blocks(freqs, times):
+            block = np.subtract(shift, cos, out=cos)
+            for r, c in enumerate(coeffs):
+                yield r, np.clip(block[:, : c.size] @ c, *bounds[r])
+        return
+    width = min(math.isqrt(times.size - 1) + 1, _PHASE_BLOCK)
+    angles = np.outer(np.arange(width) * ((times[-1] - times[0]) / max(times.size - 1, 1)), freqs)
+    sin_j, cos_j = np.sin(angles), np.cos(angles, out=angles)
+    heads = [(shift - cos_j[:, : c.size]) @ c for c in coeffs]
+    chunk = width * (_PHASE_BLOCK // 2)
+    for start in range(0, times.size, chunk):
+        sin_s = np.outer(times[start : start + chunk : width], freqs)  # b, until its sine
+        vers_s, sin_s = np.subtract(1.0, np.cos(sin_s)), np.sin(sin_s, out=sin_s)
+        for r, c in enumerate(coeffs):
+            n = c.size
+            values = heads[r] + np.matmul(cos_j[:, :n], (c * vers_s[:, :n])[..., None])[..., 0]
+            values += np.matmul(sin_j[:, :n], (c * sin_s[:, :n])[..., None])[..., 0]
+            yield r, np.clip(values.ravel()[: times.size - start], *bounds[r])
 
 
 def _cosine_average(
     coeff: np.ndarray, freqs: np.ndarray, times: np.ndarray, shift: float
 ) -> np.ndarray:
-    """sum_N coeff_N * (shift - cos(freqs_N * t)), one block of :func:`_phase_blocks` at a time.
-
-    The cosines are clamped into [-1, 1], so T(0) = 0 exactly and 0 <= T <= 1/4
-    hold under angle addition too.
-    """
-    out = np.empty_like(times)
-    for start, cos, _ in _phase_blocks(freqs, times, _sin=False):
-        block = np.subtract(shift, np.clip(cos, -1.0, 1.0, out=cos), out=cos)
-        out[start : start + len(block)] = block @ coeff
-    return out
+    """sum_N coeff_N * (shift - cos(freqs_N * t)) on ``times``: one row of :func:`_cosine_rows`."""
+    return np.concatenate([values for _, values in _cosine_rows([coeff], freqs, times, shift)])
 
 
 def _t_coefficients(log_p: np.ndarray, columns: dict[str, np.ndarray]) -> np.ndarray:
@@ -123,10 +146,10 @@ def _peak_transition_probs(
     except that a NaN in T gives a NaN peak instead of an error.  T reads
     alpha_sq only through the Poisson weights, so each distinct alpha_sq gets
     one table, and points that differ only in alpha_sq (or in the sign of a
-    zero, which T does not read) share one spectrum and one (1 - cos) block.
-    The distinct alpha_sq go in order of first appearance, as many at a time
-    as a block has times, so the tables held take at most one block's room;
-    each point keeps only its running maximum.
+    zero, which T does not read) share one spectrum and its phase tables.
+    The distinct alpha_sq go in order of first appearance, min(times.size,
+    _PHASE_BLOCK) at a time, so the tables held take at most the room of
+    _PHASE_BLOCK rows of phases; each point keeps only its running maximum.
     """
     rows_by_alpha: dict[float, list[int]] = {}
     for i, params in enumerate(points):
@@ -148,23 +171,15 @@ def _peak_transition_probs(
 
 
 def _group_peaks(
-    params: ModelParams,
-    members: list[tuple[int, np.ndarray]],
-    times: np.ndarray,
-    peaks: np.ndarray,
+    params: ModelParams, members: list[tuple[int, np.ndarray]], times: np.ndarray, peaks: np.ndarray
 ) -> None:
     """Raise ``peaks[i]`` to max_t T(t) of ``params`` under the Poisson weights ``log_p``,
-    for each (i, log_p).
-
-    One spectrum and one block at a time; both are freed on return, before
-    the next group builds its own.
+    for each (i, log_p) of ``members``; the spectrum and phase tables are freed on return.
     """
     columns = aa_columns(params, max(log_p.size for _, log_p in members) - 1)
-    coeffs = [(i, _t_coefficients(log_p, columns)) for i, log_p in members]
-    for _, cos, _ in _phase_blocks(columns["rabi_freq"], times, _sin=False):
-        block = np.subtract(1.0, np.clip(cos, -1.0, 1.0, out=cos), out=cos)
-        for i, coeff in coeffs:
-            peaks[i] = np.maximum(peaks[i], (block[:, : coeff.size] @ coeff).max())
+    coeffs = [_t_coefficients(log_p, columns) for _, log_p in members]
+    for r, values in _cosine_rows(coeffs, columns["rabi_freq"], times, 1.0):
+        peaks[members[r][0]] = np.maximum(peaks[members[r][0]], values.max())
 
 
 def survival_prob(

@@ -150,8 +150,8 @@ def grid_scan(spec: ScanSpec) -> ScanResult:
 
     Every objective equals ``objective(point)`` bit for bit.  Points are
     evaluated together (see :func:`dynamics._peak_transition_probs`): points
-    that differ only in alpha_sq share one spectrum and one cosine block per
-    block of times, and each distinct alpha_sq gets one Poisson table.  If
+    that differ only in alpha_sq share one spectrum and one set of phase
+    tables, and each distinct alpha_sq gets one Poisson table.  If
     any point fails, the grid is evaluated again point by point in row-major
     order over the canonical axis order, so it raises the error that
     ``objective`` raises at the first failing point.

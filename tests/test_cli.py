@@ -141,6 +141,16 @@ def test_closed_form_output_is_identical_across_blas_thread_counts(command, tmp_
     assert one == two
 
 
+def test_fig3_truncation_error_stays_below_the_readme_floor(tmp_path):
+    # the README's *Truncation check* states the rounding floor of --fig 3
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    floor = re.search(r"on `--fig 3`\s+it\s+stays\s+below\s+`([0-9.e+-]+)`", readme)
+    assert floor is not None and float(floor.group(1)) == 1e-12
+    for out in run_at_one_and_two_blas_threads(tmp_path, ["oracle", "--fig", "3"]):
+        error = json.loads(Path(f"{out}.json").read_text())["truncation_error"]
+        assert 0.0 < error < float(floor.group(1))
+
+
 def test_outputs_are_byte_identical_across_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["tprob", "--fig", "1", "--panel", "2", "--out", "a.csv"]) == 0

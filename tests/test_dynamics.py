@@ -21,6 +21,7 @@ from rabi_ent.dynamics import (
     _PHASE_BLOCK,
     _as_times,
     _cosine_average,
+    _cosine_rows,
     _peak_transition_probs,
     _phase_blocks,
     _t_coefficients,
@@ -194,24 +195,22 @@ def test_transition_prob_blocking_is_invisible():
 
 
 def test_shared_cosine_block_rows_equal_single_row_calls():
-    # coefficient rows of different lengths contract the leading columns of one
-    # shared block, as the grid scan does, on a uniform and a non-uniform grid
-    # that each span more than one block of times
+    # coefficient rows of different lengths read prefix views of one set of
+    # tables, as the grid scan's rows do, on a uniform grid with more than one
+    # chunk of block starts and on a non-uniform grid of more than one block
     rng = np.random.default_rng(7)
     freqs = rng.uniform(0.0, 3.0, 40)
     coeffs = [rng.uniform(0.0, 0.1, n) for n in (40, 5, 17, 1)]
-    uniform = np.linspace(0.0, 300.0, 2 * _PHASE_BLOCK + 77)
+    uniform = np.linspace(0.0, 300.0, 9001)
     scattered = np.sort(rng.uniform(0.0, 300.0, 2 * _PHASE_BLOCK + 77))
     for times in (uniform, scattered):
         for shift in (1.0, 0.0):
-            rows = [np.empty_like(times) for _ in coeffs]
-            for start, cos, _ in _phase_blocks(freqs, times):
-                block = shift - np.clip(cos, -1.0, 1.0)
-                for coeff, row in zip(coeffs, rows):
-                    row[start : start + len(cos)] = block[:, : coeff.size] @ coeff
+            rows = [[] for _ in coeffs]
+            for r, values in _cosine_rows(coeffs, freqs, times, shift):
+                rows[r].append(values)
             for coeff, row in zip(coeffs, rows):
                 single = _cosine_average(coeff, freqs[: coeff.size], times, shift)
-                assert np.array_equal(row, single)
+                assert np.array_equal(np.concatenate(row), single)
 
 
 PHASE_FREQS = np.concatenate([np.linspace(-300.0, 300.0, 41), [0.0, -0.0, 1e-3, -1e-3]])
@@ -258,22 +257,36 @@ def test_phase_blocks_on_other_grids_are_direct_trig(times):
     assert np.array_equal(cos, np.cos(phases)) and np.array_equal(sin, np.sin(phases))
 
 
-@pytest.mark.parametrize(
-    "times",
-    [
-        np.linspace(0.0, 600.0, 2 * _PHASE_BLOCK + 37),
-        np.linspace(-3.7, 41.3, 5),
-        600.0 * np.linspace(0.0, 1.0, 2 * _PHASE_BLOCK + 37) ** 2,
-        np.array([0.0, 0.5, 2.0, 7.25]),
-    ],
-)
-def test_phase_blocks_cos_only_is_the_same_cos(times):
-    full = [(start, cos.copy()) for start, cos, _ in _phase_blocks(PHASE_FREQS, times)]
-    for (start, cos, sin), (full_start, full_cos) in zip(
-        _phase_blocks(PHASE_FREQS, times, _sin=False), full, strict=True
-    ):
-        assert sin is None and start == full_start
-        assert cos.tobytes() == full_cos.tobytes()
+# n = 37**2 fills a 37-wide table with 37 block starts; 128**2 + 1 takes the
+# widest table and three chunks of block starts
+@pytest.mark.parametrize("n", [1, 2, 3, 37**2, 37**2 + 1, 128**2 + 1, 9001])
+@pytest.mark.parametrize("t0, t1", [(0.0, 600.0), (-3.7, 41.3), (1e3, 1.2e3)])
+@pytest.mark.parametrize("shift", [1.0, 0.0])
+def test_cosine_average_on_uniform_grids_matches_direct_trig(n, t0, t1, shift):
+    times = np.linspace(t0, t1, n)
+    coeff = np.random.default_rng(n).uniform(0.0, 0.1, PHASE_FREQS.size)
+    values = _cosine_average(coeff, PHASE_FREQS, times, shift)
+    direct = coeff @ (shift - np.cos(np.outer(PHASE_FREQS, times)))
+    # within the rounding of the angles, summed over the coefficients, as in
+    # test_transition_prob_blocking_is_invisible
+    scale = max(1.0, np.abs(PHASE_FREQS).max() * np.abs(times).max())
+    assert np.abs(values - direct).max() <= 4.0 * np.finfo(float).eps * scale * coeff.sum()
+    if t0 == 0.0 and shift == 1.0:
+        assert values[0] == 0.0
+
+
+def test_transition_prob_working_set_stays_within_phase_blocks_room():
+    # 40,000 times of an n_cut = 2,867 series: the five (128 x 2,868) buffers
+    # that _phase_blocks would hold take 14.7 MB
+    params = ModelParams(ratio_r=0.12, beta=0.42, kappa0=0.02, alpha_sq=2500.0)
+    times = np.linspace(0.0, 400.0, 40_000)
+    tracemalloc.start()
+    try:
+        values = transition_prob(params, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - values.nbytes <= 15_400_000
 
 
 @pytest.fixture
