@@ -77,10 +77,11 @@ class EDResult:
 
     ``populations`` maps P11, P1m1, P10 and P00, and ``concurrence`` holds C,
     each one value per time.  ``truncation_error`` is the sup-norm change of the
-    populations when n_max grows by TRUNCATION_MARGIN; None when the check was skipped.
-    ``states`` carries the evolved vectors, one column per time, only when
-    ``evolve`` was asked to keep them; the entries that evolution skips as out
-    of reach of the initial state (see PRUNE_BOUND) are exact zeros.
+    populations when the Fock window [n_lo, n_max] widens by TRUNCATION_MARGIN at both
+    ends (n_lo stops at 0); None when the check was skipped.  ``states`` carries the
+    evolved vectors over 0..n_max, one column per time, only when ``evolve`` was asked to
+    keep them; rows below n_lo and the entries that evolution skips as out of reach of
+    the initial state (see PRUNE_BOUND) are exact zeros.
     """
 
     populations: dict[str, np.ndarray]
@@ -126,26 +127,35 @@ def build_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
     return h
 
 
-def _parity_signs(n_osc: int, parity: int) -> np.ndarray:
-    """e_n = (-1)^(n + parity) for n = 0..n_osc-1."""
-    return np.where((np.arange(n_osc) + parity) % 2 == 0, 1.0, -1.0)
+def _parity_signs(fock: np.ndarray, parity: int) -> np.ndarray:
+    """e_n = (-1)^(n + parity) for the Fock numbers n of ``fock``."""
+    return np.where((fock + parity) % 2 == 0, 1.0, -1.0)
 
 
-def _parity_block(params: ModelParams, n_max: int, parity: int):
-    """The triplet part of ``build_hamiltonian`` with parity (-1)^parity: the dense block
-    h and ``v -> h @ v`` from h's at most three nonzeros per row, O(dim) per column.
+def _window_start(params: ModelParams, n_max: int, initial_fock: int | None) -> int:
+    """n_lo of the Fock window [n_lo, n_max] evolved: 0 for a number state, else n_max
+    mirrored about alpha_sq, below which a coherent state holds less than above n_max."""
+    return 0 if initial_fock is not None else max(0, math.floor(2.0 * params.alpha_sq - n_max))
+
+
+def _parity_block(params: ModelParams, n_lo: int, n_max: int, parity: int):
+    """The triplet part of ``build_hamiltonian`` with parity (-1)^parity on the Fock
+    window [n_lo, n_max]: the dense block h and ``v -> h @ v`` from h's at most three
+    nonzeros per row, O(dim) per column.
 
     The parity swap(|1,1>, |1,-1>) (x) (-1)^(a^dag a) commutes with H.  The
-    block's basis is s_n = (|1,1>|n> + e_n |1,-1>|n>)/sqrt(2) for n = 0..n_max,
-    e_n = (-1)^(n + parity), then |1,0>|m> for m = parity, parity + 2, ...;
-    the couplings are s_n-s_(n+1) (oscillator) and s_m-|1,0>|m> (transverse).
+    block's basis is s_n = (|1,1>|n> + e_n |1,-1>|n>)/sqrt(2) for n = n_lo..n_max,
+    e_n = (-1)^(n + parity), then |1,0>|m> for the m >= n_lo of the block's parity;
+    the couplings are s_n-s_(n+1) (oscillator) and s_m-|1,0>|m> (transverse): the
+    principal submatrix of the n_lo = 0 block on those states.
     """
-    n_osc = n_max + 1
-    ms = np.arange(parity, n_osc, 2)
+    fock = np.arange(n_lo, n_max + 1)
+    n_osc = fock.size
+    ms = np.arange((parity - n_lo) % 2, n_osc, 2)  # window rows of the s_m
     kappa = effective_kappa(params)
     s, t = np.arange(n_osc), n_osc + np.arange(ms.size)
-    diag = np.concatenate([s - kappa * _parity_signs(n_osc, parity), ms - kappa])
-    off = params.beta * np.sqrt(s[1:])
+    diag = np.concatenate([fock - kappa * _parity_signs(fock, parity), fock[ms] - kappa])
+    off = params.beta * np.sqrt(fock[1:])
     h = np.diag(diag)
     h[s[:-1], s[1:]] = h[s[1:], s[:-1]] = off
     h[ms, t] = h[t, ms] = -params.ratio_r
@@ -276,14 +286,15 @@ def _span(mask: np.ndarray) -> slice:
 
 def _evolution(
     params: ModelParams,
+    n_lo: int,
     n_max: int,
     times: np.ndarray,
     psi0: np.ndarray,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The real and imaginary parts of the sector amplitudes evolved from ``psi0``
-    (an ``_initial_vector`` at ``n_max``) as (start, re, im) for
-    times[start : start + rows], one block of at most _PHASE_BLOCK rows at a time, re and
-    im of shape (rows, 4, n_osc).
+    (an ``_initial_vector`` at ``n_max``) projected onto the Fock window [n_lo, n_max],
+    as (start, re, im) for times[start : start + rows], one block of at most
+    _PHASE_BLOCK rows at a time, re and im of shape (rows, 4, n_max + 1 - n_lo).
 
     Each parity block is diagonalized on its own, its matrix and eigenvectors freed
     before the next block's eigh.  Its eigencomponents of least
@@ -294,14 +305,16 @@ def _evolution(
     the |0,0> sector has energies n + k_eff and needs none.  Every block is written
     into the same two buffers: a block is valid until the next one is drawn.
     """
-    n_osc = n_max + 1
-    singlet_energies = np.arange(n_osc) + effective_kappa(params)
+    fock_numbers = np.arange(n_lo, n_max + 1)
+    n_osc, psi0 = fock_numbers.size, psi0[:, n_lo:]
+    singlet_energies = fock_numbers + effective_kappa(params)
     singlet = _phase_blocks(-singlet_energies, times) if psi0[3].any() else None
     parts = []
     for parity in (0, 1):
-        signs = _parity_signs(n_osc, parity)
-        psi = np.concatenate([(psi0[0] + signs * psi0[1]) * _SQRT_HALF, psi0[2, parity::2]])
-        evals, evecs = _checked_eigh(*_parity_block(params, n_max, parity))
+        first_m = (parity - n_lo) % 2  # window row of the block's first |1,0>|m>
+        signs = _parity_signs(fock_numbers, parity)
+        psi = np.concatenate([(psi0[0] + signs * psi0[1]) * _SQRT_HALF, psi0[2, first_m::2]])
+        evals, evecs = _checked_eigh(*_parity_block(params, n_lo, n_max, parity))
         coeff = evecs.T @ psi
         kept = _kept(np.abs(coeff))
         magnitudes = evecs[:, kept]
@@ -312,10 +325,10 @@ def _evolution(
         del evecs
         weights *= coeff[kept, None]
         split = fock.stop - fock.start
-        m_rows = slice(parity + 2 * ms.start, parity + 2 * ms.stop, 2)
+        m_rows = slice(first_m + 2 * ms.start, first_m + 2 * ms.stop, 2)
         # with no weights the spans are empty and a block writes nothing
         parts.append((_phase_blocks(-evals[kept], times), weights, parity, fock, split, m_rows))
-    scale = np.array([np.ones(n_osc), _parity_signs(n_osc, 0)]) * _SQRT_HALF
+    scale = np.array([np.ones(n_osc), _parity_signs(fock_numbers, 0)]) * _SQRT_HALF
     buffers = np.empty((2, min(times.size, _PHASE_BLOCK), SPIN_DIM, n_osc))
 
     def blocks():
@@ -357,9 +370,9 @@ def evolve(
 
     By default the initial state is |1,0> (x) |alpha> with alpha =
     sqrt(alpha_sq) taken real; pass ``initial_fock`` to start from a bare
-    number state instead.  Evolution is by spectral decomposition, exact
-    up to the Fock truncation at ``n_max`` photons, whose effect is measured by re-running with
-    n_max + 20 unless ``compute_truncation_error`` is off, and up to the
+    number state instead.  Evolution is by spectral decomposition, exact up to the Fock
+    window [n_lo, n_max] (see _window_start), whose effect is measured by re-running with
+    n_max + 20, and so n_lo - 20, unless ``compute_truncation_error`` is off, and up to the
     eigencomponents and rows left out as below PRUNE_BOUND, which move no
     amplitude by more than 2 * PRUNE_BOUND.  Each block of _PHASE_BLOCK times is reduced
     before the next is evolved: per time, only the populations, one 4x4 density matrix
@@ -370,23 +383,25 @@ def evolve(
     times = _as_times(times)
     n_max = _checked_n_max(n_max)
     psi0 = _initial_vector(params, n_max, initial_spin, initial_fock)
+    n_lo = _window_start(params, n_max, initial_fock)
     pops_big = None
     if compute_truncation_error:
         bigger = n_max + TRUNCATION_MARGIN
         psi_big = _initial_vector(params, bigger, initial_spin, initial_fock)
-        blocks = _evolution(params, bigger, times, psi_big)
+        lower = _window_start(params, bigger, initial_fock)
+        blocks = _evolution(params, lower, bigger, times, psi_big)
         pops_big = np.hstack([_populations(re, im) for _, re, im in blocks])
-    blocks = _evolution(params, n_max, times, psi0)
+    blocks = _evolution(params, n_lo, n_max, times, psi0)
     pops = np.empty((SPIN_DIM, times.size))
     rho = np.empty((times.size, SPIN_DIM, SPIN_DIM), dtype=complex)
-    states = np.empty((SPIN_DIM, n_max + 1, times.size), complex) if keep_states else None
+    states = np.zeros((SPIN_DIM, n_max + 1, times.size), complex) if keep_states else None
     for start, re, im in blocks:
         rows = slice(start, start + len(re))
         pops[:, rows] = _populations(re, im)
         re_t, im_t = re.swapaxes(1, 2), im.swapaxes(1, 2)
         rho[rows].real, rho[rows].imag = re @ re_t + im @ im_t, im @ re_t - re @ im_t
         if keep_states:
-            states[..., rows] = (re + 1j * im).transpose(1, 2, 0)
+            states[:, n_lo:, rows] = (re + 1j * im).transpose(1, 2, 0)
     rho = _COMPOSITE_TO_PRODUCT @ rho @ _COMPOSITE_TO_PRODUCT.T
     # renormalize away the rounding in the Poisson amplitudes (1 - |psi0|^2 ~ 1e-13)
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
@@ -396,8 +411,8 @@ def evolve(
         truncation_error = float(np.abs(pops - pops_big).max())
         if truncation_error > 1e-6:
             warnings.warn(
-                f"truncation error {truncation_error:.3e} exceeds 1e-6; "
-                f"increase n_max beyond {n_max}",
+                f"truncation error {truncation_error:.3e} exceeds 1e-6; widen the Fock "
+                f"window [{n_lo}, {n_max}]: increase n_max beyond {n_max}",
                 TruncationWarning,
                 stacklevel=2,
             )

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -141,14 +142,44 @@ def test_closed_form_output_is_identical_across_blas_thread_counts(command, tmp_
     assert one == two
 
 
-def test_fig3_truncation_error_stays_below_the_readme_floor(tmp_path):
-    # the README's *Truncation check* states the rounding floor of --fig 3
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    floor = re.search(r"on `--fig 3`\s+it\s+stays\s+below\s+`([0-9.e+-]+)`", readme)
+@pytest.mark.parametrize("fig", ["3", "4"])
+def test_oracle_truncation_error_stays_below_the_readme_floor(tmp_path, fig):
+    # the README's *Truncation check* states the rounding floor of --fig 3 and --fig 4,
+    # where the run and its re-run evolve different Fock windows
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    floor = re.search(r"On `--fig 3` and `--fig 4` the value .*? stays below `([0-9.e+-]+)`", readme)
     assert floor is not None and float(floor.group(1)) == 1e-12
-    for out in run_at_one_and_two_blas_threads(tmp_path, ["oracle", "--fig", "3"]):
+    for out in run_at_one_and_two_blas_threads(tmp_path, ["oracle", "--fig", fig]):
         error = json.loads(Path(f"{out}.json").read_text())["truncation_error"]
         assert 0.0 < error < float(floor.group(1))
+
+
+def test_readme_window_mass_bound_holds_at_every_admitted_cutoff():
+    # the README's *Truncation check* bounds the coherent mass outside the oracle's
+    # Fock window at the cutoff of every bundled preset and config the oracle admits
+    root = Path(__file__).resolve().parents[1]
+    readme = " ".join((root / "README.md").read_text().split())
+    shown = re.search(r"mass outside the window is `([0-9.e-]+)` at most", readme)
+    panels = ((1, 4), (2, 3), (3, 3), (4, 1))
+    cfgs = [load_preset(fig, panel) for fig, count in panels for panel in range(1, count + 1)]
+    configs = [load_config(str(path)) for path in sorted((root / "configs").glob("*.json"))]
+    cfgs += [cfg for cfg in configs if "model" in cfg]  # not the jc and scan configs
+    masses = []
+    with mpmath.workdps(30):
+        for cfg in cfgs:
+            params = params_from_config(cfg)
+            required = oracle.required_n_max(params.alpha_sq)
+            n_max = section(cfg, "ed")["n_max"]
+            if n_max is None:
+                n_max = required
+            elif n_max < required:
+                continue
+            n_lo = oracle._window_start(params, n_max, None)
+            mass = mpmath.gammainc(n_max + 1, 0, params.alpha_sq, regularized=True)
+            if n_lo:
+                mass += mpmath.gammainc(n_lo, params.alpha_sq, mpmath.inf, regularized=True)
+            masses.append(float(mass))
+    assert max(masses) <= float(shown.group(1)) < 1.05 * max(masses)
 
 
 def test_outputs_are_byte_identical_across_runs(tmp_path, monkeypatch):
@@ -799,7 +830,8 @@ def test_readme_capacity_limits_match_the_guards(
 
 
 def test_readme_preset_table_matches_a_fresh_run():
-    ratios = {3: [], 4: []}
+    # fig3 p2 and fig4 p1 evolve a Fock window that starts above 0 (at n = 2 and 80)
+    ratios, min_c = {3: [], 4: []}, []
     for fig, panel in ((3, 1), (3, 2), (3, 3), (4, 1)):
         cfg = load_preset(fig, panel)
         params, times = params_from_config(cfg), times_from_config(cfg)
@@ -813,6 +845,7 @@ def test_readme_preset_table_matches_a_fresh_run():
         assert float(bound) <= (1.0 - 4.0 * t_vals).min() < float(bound) + 0.001
         shown = [pops["P10"].min(), pops["P11"].max(), result.concurrence.min()]
         assert [f"{value:.4f}" for value in shown] == oracle_cells
+        min_c.append(shown[2])
         ratios[fig].append(((1.0 - shown[0]) / (4.0 * t_peak), shown[1] / (2.0 * t_peak)))
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
     prose = re.search(
@@ -824,3 +857,6 @@ def test_readme_preset_table_matches_a_fresh_run():
         assert (f"{min(values):.1f}", f"{max(values):.1f}") == shown_range
     low, high = map(int, prose.group(5, 6))
     assert all(low <= round(ratio) <= high for ratio in ratios[4][0])
+    # the no-sudden-death bound is the largest 3-digit number at or below every min C
+    floor = float(re.search(r"min `C` >= ([\d.]+) at every fig3/fig4 preset", readme).group(1))
+    assert floor <= min(min_c) < floor + 0.001

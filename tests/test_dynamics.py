@@ -176,6 +176,13 @@ def test_transition_prob_blocking_is_invisible():
     whole = transition_prob(params, times)
     split = np.concatenate([transition_prob(params, half) for half in halves])
     assert np.array_equal(whole, split)
+    log_p = poisson_logweights(params.alpha_sq)
+    columns = aa_columns(params, log_p.size - 1)
+    coeff, freqs = _t_coefficients(log_p, columns), columns["rabi_freq"]
+    direct = coeff @ (1.0 - np.cos(np.outer(freqs, times)))
+    # the same angles and cosines, summed in another order: N terms of at most 2 c_N each
+    sum_bound = 2.0 * freqs.size * np.finfo(float).eps * coeff.sum()
+    assert np.abs(whole - direct).max() <= sum_bound
     # on a linspace grid the phases come by angle addition from each block's
     # first time, so a value depends on where its block starts, but only within
     # the rounding of the angles (the model of the direct-trig test below),
@@ -185,9 +192,6 @@ def test_transition_prob_blocking_is_invisible():
     split = np.concatenate(
         [transition_prob(params, half) for half in (times[:4500], times[4500:])]
     )
-    log_p = poisson_logweights(params.alpha_sq)
-    columns = aa_columns(params, log_p.size - 1)
-    coeff, freqs = _t_coefficients(log_p, columns), columns["rabi_freq"]
     direct = coeff @ (1.0 - np.cos(np.outer(freqs, times)))
     tol = 4.0 * np.finfo(float).eps * max(1.0, np.abs(freqs).max() * times[-1]) * coeff.sum()
     assert np.abs(whole - split).max() <= tol

@@ -463,15 +463,22 @@ def test_parity_blocks_are_projections_of_the_full_hamiltonian(beta_scale, n_max
     assert np.all(even[0].T @ h @ odd[0] == 0.0)
     for parity, (basis, scale) in enumerate((even, odd)):
         projector = basis * scale
-        block, _ = _parity_block(params, n_max, parity)
+        block, _ = _parity_block(params, 0, n_max, parity)
         assert block.shape == (projector.shape[1],) * 2
         assert np.abs(block - projector.T @ h @ projector).max() <= 1e-14 * norm
+        # the window [n_lo, n_max] keeps the s_n and |1,0>|m> with n, m >= n_lo, in order;
+        # an odd n_lo starts the |1,0>|m> at the other parity's offset
+        ms = np.arange(parity, n_max + 1, 2)
+        for n_lo in (1, 2, 7):
+            rows = np.r_[n_lo : n_max + 1, n_max + 1 + np.flatnonzero(ms >= n_lo)]
+            window, _ = _parity_block(params, n_lo, n_max, parity)
+            assert np.array_equal(window, block[np.ix_(rows, rows)])
 
 
 def test_evolve_spectrum_is_the_full_spectrum():
     # the two parity blocks and the |0,0> energies n + k_eff are all that evolve diagonalizes
     n_max = 17
-    blocks = [_checked_eigh(*_parity_block(PARITY_PARAMS, n_max, p))[0] for p in (0, 1)]
+    blocks = [_checked_eigh(*_parity_block(PARITY_PARAMS, 0, n_max, p))[0] for p in (0, 1)]
     singlet = np.arange(n_max + 1) + effective_kappa(PARITY_PARAMS)
     spectrum = np.sort(np.concatenate([singlet, *blocks]))
     full, _ = eigendecompose(build_hamiltonian(PARITY_PARAMS, n_max))
@@ -583,9 +590,12 @@ def test_parity_block_product_is_the_dense_product(beta_scale, n_max):
     params = replace(PARITY_PARAMS, beta=beta_scale * PARITY_PARAMS.beta)
     rng = np.random.default_rng(n_max)
     for parity in (0, 1):
-        h, product = _parity_block(params, n_max, parity)
-        v = rng.standard_normal((h.shape[0], 7))
-        assert np.abs(product(v) - h @ v).max() <= 1e-14 * np.abs(h).sum(axis=1).max()
+        for n_lo in (0, 1, 2, 7):
+            if n_lo > n_max:
+                continue
+            h, product = _parity_block(params, n_lo, n_max, parity)
+            v = rng.standard_normal((h.shape[0], 7))
+            assert np.abs(product(v) - h @ v).max() <= 1e-14 * np.abs(h).sum(axis=1).max()
 
 
 # alpha_sq = 9 with a cutoff well past its required 41: the coherent tail, and
@@ -637,3 +647,49 @@ def test_pruned_evolution_matches_unpruned_dense_evolution(spin, initial_fock, m
     if spin is not SpinState.J0M0:  # the |0,0> sector is evolved whole, by its phases alone
         assert np.count_nonzero(result.states == 0.0) > np.count_nonzero(unpruned == 0.0)
     assert np.abs(result.states - unpruned).max() <= 2 * PRUNE_BOUND
+
+
+# --- the Fock window ------------------------------------------------------------
+#
+# A coherent start is evolved on [n_lo, n_max] only, n_lo = max(0, floor(2 alpha_sq -
+# n_max)): the cutoff mirrored about the mean.  At alpha_sq = 130 and its required
+# cutoff 245 the window is [15, 245].
+
+WINDOW_PARAMS = ModelParams(ratio_r=0.2, beta=0.4717, kappa0=-0.7, alpha_sq=130.0)
+
+
+def test_windowed_evolution_matches_full_space_dense_evolution():
+    n_max = required_n_max(WINDOW_PARAMS.alpha_sq)
+    assert (n_max, oracle._window_start(WINDOW_PARAMS, n_max, None)) == (245, 15)
+    times = np.linspace(0.0, 200.0, 201)
+    result = evolve(
+        WINDOW_PARAMS, n_max, times, compute_truncation_error=False, keep_states=True
+    )
+    states = _dense_states(WINDOW_PARAMS, n_max, times, SpinState.J1M0, None)
+    assert np.abs(result.states - states).max() <= 1e-11
+    assert np.all(result.states.reshape(4, n_max + 1, times.size)[:, :15] == 0.0)
+
+
+def test_truncation_error_sees_a_window_cut_into_the_poisson_bulk(monkeypatch):
+    # the rule shifted up so that n_lo = alpha_sq - 2 sqrt(alpha_sq + 1) = 107 at n_max
+    # 245; the re-run at n_max + 20 still gets n_lo - 20 and so sees the lost mass
+    n_max, alpha_sq, rule = 245, WINDOW_PARAMS.alpha_sq, oracle._window_start
+    bulk = math.floor(alpha_sq - 2.0 * math.sqrt(alpha_sq + 1.0))
+    shift = bulk - rule(WINDOW_PARAMS, n_max, None)
+    monkeypatch.setattr(oracle, "_window_start", lambda *args: rule(*args) + shift)
+    with pytest.warns(TruncationWarning, match=r"widen the Fock window \[107, 245\]"):
+        result = evolve(WINDOW_PARAMS, n_max, np.linspace(0.0, 50.0, 51))
+    assert result.truncation_error > 1e-6
+
+
+def test_window_leaves_out_less_coherent_mass_than_the_cutoff():
+    # at n_max = required_n_max, the Poisson mass below n_lo is at most the mass above
+    # n_max, so the truncation re-run, which widens both ends, measures both
+    with mpmath.workdps(40):
+        for alpha_sq in [*np.linspace(0.0, 1641.7, 165), 100.4, 100.6, 130.0, 250.0]:
+            n_max = required_n_max(alpha_sq)
+            params = replace(WINDOW_PARAMS, alpha_sq=float(alpha_sq))
+            n_lo = oracle._window_start(params, n_max, None)
+            below = mpmath.gammainc(n_lo, alpha_sq, mpmath.inf, regularized=True) if n_lo else 0
+            above = mpmath.gammainc(n_max + 1, 0, alpha_sq, regularized=True)
+            assert below <= above, alpha_sq
