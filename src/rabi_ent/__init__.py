@@ -16,7 +16,7 @@ from .errors import (
 )
 from .params import KappaConvention, ModelParams, SpinState, effective_kappa
 from .specialfn import DEFAULT_TAIL_TOL, laguerre_sequence, poisson_logweights
-from .spectrum import AASpectrumRow, aa_row, aa_rows
+from .spectrum import aa_row, aa_rows
 from .dynamics import (
     jc_inversion,
     survival_prob,
@@ -35,7 +35,6 @@ from .scan import AxisRange, ScanResult, ScanSpec, grid_scan, objective, refine
 
 __all__ = [
     "__version__",
-    "AASpectrumRow",
     "AdiabaticRegimeWarning",
     "AxisRange",
     "CapacityError",

@@ -236,12 +236,12 @@ def two_branch_interference_check(N: int, params: ModelParams, times) -> float:
     """
     times = _as_times(times)
     row = aa_row(N, params)
-    if row.omega1N == 0.0:
+    if row["omega1N"] == 0.0:
         raise DomainError(
             f"row N={N} is degenerate: omega1N == 0, branch amplitudes undefined"
         )
-    c_plus = (row.y_plus / row.l2_plus) * np.exp(-1j * row.eplus * times)
-    c_minus = (row.y_minus / row.l2_minus) * np.exp(-1j * row.eminus * times)
+    c_plus = (row["y_plus"] / row["l2_plus"]) * np.exp(-1j * row["eplus"] * times)
+    c_minus = (row["y_minus"] / row["l2_minus"]) * np.exp(-1j * row["eminus"] * times)
     transfer = 0.5 * np.abs(c_plus + c_minus) ** 2
-    reference = row.weight * (1.0 - np.cos(row.rabi_freq * times))
+    reference = row["weight"] * (1.0 - np.cos(row["rabi_freq"] * times))
     return float(np.max(np.abs(transfer - reference)))

@@ -7,13 +7,12 @@ the symmetric combination and |1,0>|N_0> form a two-level system whose
 branches sit at ``eplus``/``eminus`` and oscillate at ``rabi_freq``.
 
 :func:`aa_columns` computes every field for a range of N as numpy columns;
-:func:`aa_row` and :func:`aa_rows` are views over those columns.
+:func:`aa_row` and :func:`aa_rows` are per-N dict views over those columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,41 +24,17 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT8 = math.sqrt(8.0)
 
 
-@dataclass(frozen=True)
-class AASpectrumRow:
-    """One photon number's energies, eigenvector weights, and Rabi frequency.
-
-    ``y_plus``/``y_minus`` are the bright-branch eigenvector ratios; they and
-    the squared norms ``l2_plus``/``l2_minus`` are None when omega1N == 0,
-    where the ratio is undefined.  ``weight`` is the transition-probability
-    prefactor in its stable rational form omega1N^2 / (t0tilde^2 + 8 omega1N^2),
-    which removes the 0/0 at Laguerre roots of omega1N.  ``degenerate`` marks
-    the doubly singular point omega1N == 0 == t0tilde, where the weight is
-    pinned to 0.
-    """
-
-    N: int
-    omega1N: float
-    omega2N: float
-    t0tilde: float
-    e0: float
-    eplus: float
-    eminus: float
-    y_plus: float | None
-    y_minus: float | None
-    l2_plus: float | None
-    l2_minus: float | None
-    weight: float
-    rabi_freq: float
-    degenerate: bool = False
-
-
 def aa_columns(params: ModelParams, n_max: int, n_min: int = 0) -> dict[str, np.ndarray]:
-    """Every :class:`AASpectrumRow` field for N = n_min .. n_max, one array per field.
+    """Every spectrum field for N = n_min .. n_max, one array per field.
 
-    Keys follow the field order of :class:`AASpectrumRow`.  Where omega1N == 0
-    the ``y_*``/``l2_*`` entries are NaN and the weight is 0.  One Laguerre
-    recurrence pass per argument serves every row.
+    ``y_plus``/``y_minus`` are the bright-branch eigenvector ratios and
+    ``l2_plus``/``l2_minus`` their squared norms; all four are NaN where
+    omega1N == 0, where the ratio is undefined.  ``weight`` is the
+    transition-probability prefactor in its stable rational form
+    omega1N^2 / (t0tilde^2 + 8 omega1N^2), which removes the 0/0 at Laguerre
+    roots of omega1N, and is 0 where omega1N == 0.  ``degenerate`` marks the
+    doubly singular point omega1N == 0 == t0tilde.  One Laguerre recurrence
+    pass per argument serves every row.
     """
     if not (_is_integer(n_min) and _is_integer(n_max) and 0 <= n_min <= n_max):
         raise DomainError(f"need integers 0 <= n_min <= n_max, got [{n_min!r}, {n_max!r}]")
@@ -112,19 +87,13 @@ def aa_columns(params: ModelParams, n_max: int, n_min: int = 0) -> dict[str, np.
     }
 
 
-def aa_rows(params: ModelParams, n_max: int, n_min: int = 0) -> list[AASpectrumRow]:
-    """Spectrum rows for N = n_min .. n_max, one view per row of :func:`aa_columns`."""
+def aa_rows(params: ModelParams, n_max: int, n_min: int = 0) -> list[dict]:
+    """Per N = n_min .. n_max, a dict of each :func:`aa_columns` key to its Python value."""
     columns = aa_columns(params, n_max, n_min)
-    rows = [AASpectrumRow(*values) for values in zip(*(c.tolist() for c in columns.values()))]
-    return [
-        replace(row, y_plus=None, y_minus=None, l2_plus=None, l2_minus=None)
-        if row.omega1N == 0.0
-        else row
-        for row in rows
-    ]
+    return [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
 
 
-def aa_row(N: int, params: ModelParams) -> AASpectrumRow:
+def aa_row(N: int, params: ModelParams) -> dict:
     """Spectrum row for a single photon number."""
     if not (_is_integer(N) and N >= 0):
         raise DomainError(f"N must be a nonnegative integer, got {N!r}")

@@ -132,14 +132,14 @@ def test_criterion_3_algebraic_identity_suite():
         )
         n = int(rng.integers(0, 201))
         row = aa_row(n, params)
-        if row.omega1N == 0.0:
+        if row["omega1N"] == 0.0:
             continue
         checked += 1
-        worst_product = max(worst_product, abs(row.y_plus * row.y_minus + 2.0))
+        worst_product = max(worst_product, abs(row["y_plus"] * row["y_minus"] + 2.0))
         worst_weight_gap = max(
-            worst_weight_gap, abs(row.weight - row.y_plus**2 / row.l2_plus**2)
+            worst_weight_gap, abs(row["weight"] - row["y_plus"] ** 2 / row["l2_plus"] ** 2)
         )
-        assert 0.0 <= row.weight <= 0.125 + 1e-16
+        assert 0.0 <= row["weight"] <= 0.125 + 1e-16
         worst_residual = max(
             worst_residual, two_branch_interference_check(n, params, times)
         )

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rabi_ent import config, evolve, oracle, scan, specialfn, transition_prob
+from rabi_ent import KappaConvention, config, evolve, oracle, scan, specialfn, transition_prob
 from rabi_ent.cli import _csv_pieces, build_parser, load_preset, main, preset_name
 from rabi_ent.config import (
     SCHEMA,
@@ -26,6 +27,14 @@ from rabi_ent.config import (
 from rabi_ent.scan import ScanSpec, grid_scan
 
 AA_VALID_MODEL = {"ratio_r": 0.05, "beta": 0.2, "kappa0": 0.0, "alpha_sq": 9.0}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_prose() -> str:
+    """The README with every run of whitespace made one space, so prose reads across lines."""
+    return " ".join(README.read_text().split())
 
 
 def write_config(path: Path, payload: dict) -> str:
@@ -146,7 +155,7 @@ def test_closed_form_output_is_identical_across_blas_thread_counts(command, tmp_
 def test_oracle_truncation_error_stays_below_the_readme_floor(tmp_path, fig):
     # the README's *Truncation check* states the rounding floor of --fig 3 and --fig 4,
     # where the run and its re-run evolve different Fock windows
-    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    readme = readme_prose()
     floor = re.search(r"On `--fig 3` and `--fig 4` the value .*? stays below `([0-9.e+-]+)`", readme)
     assert floor is not None and float(floor.group(1)) == 1e-12
     for out in run_at_one_and_two_blas_threads(tmp_path, ["oracle", "--fig", fig]):
@@ -156,9 +165,9 @@ def test_oracle_truncation_error_stays_below_the_readme_floor(tmp_path, fig):
 
 def test_readme_window_mass_bound_holds_at_every_admitted_cutoff():
     # the README's *Truncation check* bounds the coherent mass outside the oracle's
-    # Fock window at the cutoff of every bundled preset and config the oracle admits
+    # Fock window at the cutoff of every bundled preset and config
     root = Path(__file__).resolve().parents[1]
-    readme = " ".join((root / "README.md").read_text().split())
+    readme = readme_prose()
     shown = re.search(r"mass outside the window is `([0-9.e-]+)` at most", readme)
     panels = ((1, 4), (2, 3), (3, 3), (4, 1))
     cfgs = [load_preset(fig, panel) for fig, count in panels for panel in range(1, count + 1)]
@@ -168,12 +177,9 @@ def test_readme_window_mass_bound_holds_at_every_admitted_cutoff():
     with mpmath.workdps(30):
         for cfg in cfgs:
             params = params_from_config(cfg)
-            required = oracle.required_n_max(params.alpha_sq)
             n_max = section(cfg, "ed")["n_max"]
             if n_max is None:
-                n_max = required
-            elif n_max < required:
-                continue
+                n_max = oracle.required_n_max(params.alpha_sq)
             n_lo = oracle._window_start(params, n_max, None)
             mass = mpmath.gammainc(n_max + 1, 0, params.alpha_sq, regularized=True)
             if n_lo:
@@ -733,7 +739,7 @@ def test_scan_reads_each_config_value_at_most_twice(tmp_path, monkeypatch):
 
 
 def _readme_schema_block() -> dict:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
     return json.loads(re.sub(r"//[^\n]*", "", block))
 
@@ -755,7 +761,7 @@ def test_readme_schema_block_is_valid_and_names_every_key():
 
 
 def _readme_row(first_cell: str) -> list[str]:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     (row,) = [line for line in readme.splitlines() if line.strip().startswith(f"| {first_cell}")]
     return [cell.strip().strip("`").replace(",", "") for cell in row.strip().strip("|").split("|")]
 
@@ -847,7 +853,7 @@ def test_readme_preset_table_matches_a_fresh_run():
         assert [f"{value:.4f}" for value in shown] == oracle_cells
         min_c.append(shown[2])
         ratios[fig].append(((1.0 - shown[0]) / (4.0 * t_peak), shown[1] / (2.0 * t_peak)))
-    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    readme = readme_prose()
     prose = re.search(
         r"`1 - min P10` is ([\d.]+)-([\d.]+)x the closed form's `4T`, and its max `P11` is "
         r"([\d.]+)-([\d.]+)x max `2T`; at fig4 both ratios are (\d+)-(\d+)x",
@@ -860,3 +866,82 @@ def test_readme_preset_table_matches_a_fresh_run():
     # the no-sudden-death bound is the largest 3-digit number at or below every min C
     floor = float(re.search(r"min `C` >= ([\d.]+) at every fig3/fig4 preset", readme).group(1))
     assert floor <= min(min_c) < floor + 0.001
+
+
+def test_every_preset_cutoff_meets_the_coherent_state_requirement(tmp_path):
+    for fig, count in ((1, 4), (2, 3), (3, 3), (4, 1)):
+        for panel in range(1, count + 1):
+            cfg = load_preset(fig, panel)
+            required = oracle.required_n_max(params_from_config(cfg).alpha_sq)
+            assert section(cfg, "ed")["n_max"] >= required, cfg["label"]
+    assert main(["oracle", "--fig", "2", "--panel", "3", "--out", str(tmp_path / "o.csv")]) == 0
+
+
+def test_readme_package_layout_names_every_module():
+    block = re.search(r"## Package layout\n\n```\nsrc/rabi_ent/\n(.*?)```", README.read_text(), re.S)
+    named = re.findall(r"^  (\S+\.py) ", block.group(1), re.M)
+    assert sorted(named) == sorted(path.name for path in Path(oracle.__file__).parent.glob("*.py"))
+
+
+def shown_as(value: float, shown: str) -> bool:
+    """Whether ``value`` rounds to ``shown`` at the number of decimals ``shown`` has."""
+    return f"{value:.{len(shown.partition('.')[2])}f}" == shown
+
+
+def test_readme_kappa_convention_figures_match_a_fresh_run():
+    # the README's *Kappa conventions*: fig4's closed-form suppression below the fig3
+    # objective under each reading, and what the oracle gives under omega_scaled
+    prose = readme_prose()
+    omega, omega0 = re.search(
+        r"`omega_scaled` reading suppresses `T\(t\)` about ([\d.]*\d)x below the fig3 "
+        r"objective, while the default reading gives about ([\d.]*\d)x",
+        prose,
+    ).groups()
+    p11, min_c, peak_2t = re.search(
+        r"under `omega_scaled` it gives max `P11` = ([\d.]*\d) and min `C` = ([\d.]*\d), "
+        r"where the closed form predicts max `2T` = ([\d.]*\d)",
+        prose,
+    ).groups()
+    fig3, fig4 = load_preset(3, 1), load_preset(4, 1)
+    fig3_max_t = transition_prob(params_from_config(fig3), times_from_config(fig3)).max()
+    times = times_from_config(fig4)
+    base = params_from_config(fig4)
+    scaled = dataclasses.replace(base, kappa_convention=KappaConvention.OMEGA_SCALED)
+    assert base.kappa_convention is KappaConvention.OMEGA0_SCALED
+    t_scaled = transition_prob(scaled, times).max()
+    assert shown_as(fig3_max_t / t_scaled, omega)
+    assert shown_as(fig3_max_t / transition_prob(base, times).max(), omega0)
+    assert shown_as(2.0 * t_scaled, peak_2t)
+    result = evolve(scaled, section(fig4, "ed")["n_max"], times, compute_truncation_error=False)
+    assert shown_as(result.populations["P11"].max(), p11)
+    assert shown_as(result.concurrence.min(), min_c)
+
+
+def test_readme_oracle_memory_follows_the_rerun_parity_block():
+    # The README's *Oracle memory* puts the peak at one eigh of the truncation re-run's
+    # larger parity block, 5 d^2 doubles.  d is taken here from the block the re-run
+    # builds; this bounds the formula's inputs, not the resident memory LAPACK takes.
+    prose = readme_prose()
+    fig4_mb, fig4_d = re.search(r"so ([\d.]*\d) MB at `--fig 4` \(`d = (\d+)`\)", prose).groups()
+    ceiling_mb, ceiling_d = re.search(r"it is about ([\d.]*\d) MB \(`d = (\d+)`\)", prose).groups()
+    assert "`d ~ 1.5 (n_max - n_lo + 41)` (`1.5 (n_max + 21)` while `n_lo <= 20`)" in prose
+
+    def rerun_block_dim(params, n_max):
+        bigger = n_max + oracle.TRUNCATION_MARGIN
+        n_lo = oracle._window_start(params, bigger, None)
+        d = max(oracle._parity_block(params, n_lo, bigger, parity)[0].shape[0] for parity in (0, 1))
+        # the README's formula, on the run's window start n_lo
+        estimate = 1.5 * (n_max + 41 - max(oracle._window_start(params, n_max, None), 20))
+        assert abs(d - estimate) <= 1.0
+        return d
+
+    fig4 = load_preset(4, 1)
+    params = params_from_config(fig4)
+    d = rerun_block_dim(params, section(fig4, "ed")["n_max"])
+    assert d == int(fig4_d) and shown_as(5 * d * d * 8 / 1e6, fig4_mb)
+    # the largest admitted n_max, with alpha_sq as high as keeps the re-run's window at 0
+    n_max = oracle.DIM_CEILING // oracle.SPIN_DIM - 1
+    edge = dataclasses.replace(params, alpha_sq=(n_max + oracle.TRUNCATION_MARGIN) / 2.0)
+    assert oracle.required_n_max(edge.alpha_sq) <= n_max
+    d = rerun_block_dim(edge, n_max)
+    assert d == int(ceiling_d) and shown_as(5 * d * d * 8 / 1e6, ceiling_mb)

@@ -303,9 +303,9 @@ def test_low_spectrum_matches_closed_forms_in_slow_qubit_regime():
     rows = aa_rows(params, 20)
     k_eff = effective_kappa(params)
     approx = sorted(
-        [row.e0 for row in rows]
-        + [row.eplus for row in rows]
-        + [row.eminus for row in rows]
+        [row["e0"] for row in rows]
+        + [row["eplus"] for row in rows]
+        + [row["eminus"] for row in rows]
         + [n + k_eff for n in range(21)]
     )
     gap = np.max(np.abs(exact[:40] - np.array(approx[:40])))
