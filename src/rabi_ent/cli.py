@@ -38,22 +38,25 @@ _PRESET_PANELS = {1: 4, 2: 3, 3: 3, 4: 1}
 
 
 def _atomic_write(path: Path, pieces) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines(pieces)
-        # mkstemp creates 0600; restore the ordinary umask-derived mode
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
-        os.replace(tmp_name, path)
-    except BaseException:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as handle:
+                handle.writelines(pieces)
+            # mkstemp creates 0600; restore the ordinary umask-derived mode
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp_name, 0o666 & ~umask)
+            os.replace(tmp_name, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 def preset_name(fig: int, panel: int) -> str:

@@ -38,43 +38,6 @@ def _finite(name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _phase_blocks(freqs: np.ndarray, times: np.ndarray) -> Iterator[tuple]:
-    """Yield (start, cos, sin) of outer(times[start : start + _PHASE_BLOCK], freqs).
-
-    On a grid equal bit for bit to np.linspace(times[0], times[-1], n), the angles
-    w*(t_s + j*dt), t_s a block's first time and 0 <= j < _PHASE_BLOCK, come by
-    angle addition from those of w*t_s and w*j*dt: N*(_PHASE_BLOCK + n/_PHASE_BLOCK)
-    trig calls, not N*n.  Any other grid takes np.cos and np.sin directly.
-
-    Every block is written into the same two buffers, which the caller may
-    overwrite: a block is valid until the next one is drawn.  All buffers come
-    from one allocation per call, so that many calls in a row reuse heap memory
-    instead of faulting in fresh pages block after block.
-    """
-    width = min(times.size, _PHASE_BLOCK)
-    cos, sin, tmp, cos_j, sin_j = np.empty((5, width, freqs.size))
-    uniform = np.array_equal(times, np.linspace(times[0], times[-1], times.size))
-    if uniform:
-        step = (times[-1] - times[0]) / max(times.size - 1, 1)
-        np.outer(np.arange(width) * step, freqs, out=tmp)
-        np.cos(tmp, out=cos_j)
-        np.sin(tmp, out=sin_j)
-    for start in range(0, times.size, _PHASE_BLOCK):
-        rows = min(_PHASE_BLOCK, times.size - start)
-        c, s, t = cos[:rows], sin[:rows], tmp[:rows]
-        if uniform:
-            cos_s, sin_s = np.cos(times[start] * freqs), np.sin(times[start] * freqs)
-            np.multiply(cos_j[:rows], cos_s, out=c)
-            c -= np.multiply(sin_j[:rows], sin_s, out=t)
-            np.multiply(sin_j[:rows], cos_s, out=s)
-            s += np.multiply(cos_j[:rows], sin_s, out=t)
-        else:
-            np.outer(times[start : start + rows], freqs, out=t)
-            np.cos(t, out=c)
-            np.sin(t, out=s)
-        yield start, c, s
-
-
 def _cosine_rows(coeffs: list, freqs: np.ndarray, times: np.ndarray, shift: float) -> Iterator:
     """Yield (r, values): sum_N coeffs[r]_N (shift - cos(freqs_N t)) on row r's next
     times, for rows coeffs[r] >= 0 that each read the leading freqs.

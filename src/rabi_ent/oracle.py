@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _PHASE_BLOCK, _as_times, _phase_blocks
+from .dynamics import _PHASE_BLOCK, _as_times
 from .errors import CapacityError, DomainError, TruncationWarning
 from .params import ModelParams, SpinState, _is_integer, _is_real, effective_kappa
 from .specialfn import poisson_logpmf
@@ -282,6 +282,33 @@ def _span(mask: np.ndarray) -> slice:
     """The shortest slice that holds every True entry of ``mask``."""
     hits = np.flatnonzero(mask)
     return slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
+
+
+def _phase_blocks(freqs: np.ndarray, times: np.ndarray) -> Iterator[tuple]:
+    """Yield (start, cos, sin) of outer(times[start : start + _PHASE_BLOCK], freqs).
+
+    On a grid equal bit for bit to np.linspace(times[0], times[-1], n), the angles
+    w*(t_s + j*dt), t_s a block's first time and 0 <= j < _PHASE_BLOCK, come by
+    angle addition from those of w*t_s and w*j*dt: 2*(_PHASE_BLOCK + ceil(n/_PHASE_BLOCK))
+    cos-plus-sin evaluations per frequency w once n >= _PHASE_BLOCK, not 2*n.  Any other
+    grid takes np.cos and np.sin directly.
+    """
+    if not np.array_equal(times, np.linspace(times[0], times[-1], times.size)):
+        for start in range(0, times.size, _PHASE_BLOCK):
+            angles = np.outer(times[start : start + _PHASE_BLOCK], freqs)
+            yield start, np.cos(angles), np.sin(angles, out=angles)
+        return
+    step = (times[-1] - times[0]) / max(times.size - 1, 1)
+    a = np.outer(np.arange(min(times.size, _PHASE_BLOCK)) * step, freqs)
+    cos_j, sin_j = np.cos(a), np.sin(a, out=a)
+    for start in range(0, times.size, _PHASE_BLOCK):
+        c, s = cos_j[: times.size - start], sin_j[: times.size - start]
+        cos_s, sin_s = np.cos(times[start] * freqs), np.sin(times[start] * freqs)
+        cos = c * cos_s
+        cos -= s * sin_s
+        sin = s * cos_s
+        sin += c * sin_s
+        yield start, cos, sin
 
 
 def _evolution(

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from rabi_ent import KappaConvention, config, evolve, oracle, scan, specialfn, transition_prob
+from rabi_ent import (
+    KappaConvention,
+    config,
+    dynamics,
+    evolve,
+    oracle,
+    scan,
+    specialfn,
+    spectrum,
+    transition_prob,
+)
 from rabi_ent.cli import _csv_pieces, build_parser, load_preset, main, preset_name
 from rabi_ent.config import (
     SCHEMA,
@@ -479,15 +490,39 @@ def test_out_path_respected(tmp_path, monkeypatch):
     assert (tmp_path / "nested" / "series.csv.json").exists()
 
 
-def test_failed_replace_leaves_no_file_behind(tmp_path, monkeypatch):
+def test_failed_replace_leaves_no_file_behind(tmp_path, monkeypatch, capsys):
     def failing(src, dst):
-        raise PermissionError(f"cannot replace {dst}")
+        raise error
 
     monkeypatch.setattr(os, "replace", failing)
-    out = tmp_path / "nested"
-    with pytest.raises(PermissionError, match="series.csv"):
-        main(["tprob", "--fig", "1", "--panel", "2", "--out", str(out / "series.csv")])
-    assert list(out.iterdir()) == []
+    out = tmp_path / "nested" / "series.csv"
+    argv = ["tprob", "--fig", "1", "--panel", "2", "--out", str(out)]
+    # an OSError is an unwritable output (exit 2); any other exception propagates
+    error = PermissionError("replace refused")
+    assert main(argv) == 2
+    assert f"config error: cannot write output {out}: replace refused" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []
+    error = KeyboardInterrupt()
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert list(out.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["out-is-a-directory", "out-under-a-file", "sidecar-is-a-directory"])
+def test_unwritable_output_is_config_error(case, tmp_path, capsys):
+    out = tmp_path / "series.csv"
+    if case == "out-is-a-directory":
+        out.mkdir()
+        unwritable = out
+    elif case == "out-under-a-file":
+        (tmp_path / "file").write_text("")
+        out = unwritable = tmp_path / "file" / "series.csv"
+    else:
+        unwritable = tmp_path / "series.csv.json"
+        unwritable.mkdir()
+    assert main(["tprob", "--fig", "3", "--out", str(out)]) == 2
+    assert f"config error: cannot write output {unwritable}: " in capsys.readouterr().err
+    assert not [path for path in tmp_path.rglob("*") if path.name.endswith(".tmp")]
 
 
 def test_configured_output_path_used_when_out_flag_absent(tmp_path, monkeypatch):
@@ -945,3 +980,98 @@ def test_readme_oracle_memory_follows_the_rerun_parity_block():
     assert oracle.required_n_max(edge.alpha_sq) <= n_max
     d = rerun_block_dim(edge, n_max)
     assert d == int(ceiling_d) and shown_as(5 * d * d * 8 / 1e6, ceiling_mb)
+
+
+def test_readme_phase_kernels_count_their_cos_and_sin_evaluations(monkeypatch):
+    # the README's *Phases* and *Oracle phases* give cos-plus-sin evaluations per
+    # frequency; count the elements np.cos and np.sin receive
+    prose = readme_prose()
+    t_count = re.search(
+        r"`2 \(w \+ ⌈n/w⌉\)` cos-plus-sin evaluations per frequency \(([\d,]+) at 1,000 times\)",
+        prose,
+    ).group(1)
+    oracle_counts = re.search(
+        r"`2 \(128 \+ ⌈n/128⌉\)` cos-plus-sin evaluations per energy "
+        r"\(([\d,]+) at 1,000 times, ([\d,]+) at 2,000\)",
+        prose,
+    ).groups()
+    received = []
+
+    def counting(ufunc):
+        def call(x, *args, **kwargs):
+            received.append(np.size(x))
+            return ufunc(x, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np, "cos", counting(np.cos))
+    monkeypatch.setattr(np, "sin", counting(np.sin))
+    freqs = np.linspace(-3.0, 3.0, 7)
+
+    def per_frequency(kernel, points):
+        received.clear()
+        kernel(np.linspace(0.0, 50.0, points))
+        return sum(received) / freqs.size
+
+    def t_kernel(times):
+        dynamics._cosine_average(np.ones(freqs.size), freqs, times, 1.0)
+
+    def oracle_kernel(times):
+        list(oracle._phase_blocks(freqs, times))
+
+    assert per_frequency(t_kernel, 1000) == int(t_count.replace(",", ""))
+    for points, shown in zip((1000, 2000), oracle_counts):
+        assert per_frequency(oracle_kernel, points) == int(shown.replace(",", ""))
+
+
+def test_readme_oracle_window_figures_match_a_fresh_computation():
+    # the README's *Oracle Fock window*: n_lo and the parity block sizes at --fig 4,
+    # and the coherent mass below n_lo against that above n_max at alpha_sq = 250,
+    # reckoned as in test_window_leaves_out_less_coherent_mass_than_the_cutoff
+    prose = readme_prose()
+    shown = re.search(
+        r"At `--fig 4` \(`n_lo = (\d+)`\) the parity blocks have (\d+) and (\d+) states, "
+        r"against (\d+) and (\d+) over the whole range",
+        prose,
+    ).groups()
+    fig4 = load_preset(4, 1)
+    params, n_max = params_from_config(fig4), section(fig4, "ed")["n_max"]
+    n_lo = oracle._window_start(params, n_max, None)
+    sizes = [oracle._parity_block(params, lo, n_max, p)[0].shape[0] for lo in (n_lo, 0) for p in (0, 1)]
+    assert [n_lo, *sizes] == [int(value) for value in shown]
+    alpha_sq, below_shown, above_shown = re.search(
+        r"at `alpha_sq = ([\d.]+)`, `1e(-[\d.]+)` against `1e(-[\d.]+)`", prose
+    ).groups()
+    alpha_sq = float(alpha_sq)
+    n_max = oracle.required_n_max(alpha_sq)
+    n_lo = oracle._window_start(dataclasses.replace(params, alpha_sq=alpha_sq), n_max, None)
+    with mpmath.workdps(40):
+        below = mpmath.gammainc(n_lo, alpha_sq, mpmath.inf, regularized=True)
+        above = mpmath.gammainc(n_max + 1, 0, alpha_sq, regularized=True)
+        assert shown_as(float(mpmath.log10(below)), below_shown)
+        assert shown_as(float(mpmath.log10(above)), above_shown)
+
+
+# SCHEMA defaults that repeat a keyword default: (schema path, function, keyword)
+SCHEMA_KEYWORD_DEFAULTS = [
+    (("spectrum", "n_min"), spectrum.aa_columns, "n_min"),
+    (("ed", "initial_spin"), oracle.evolve, "initial_spin"),
+    (("ed", "initial_fock"), oracle.evolve, "initial_fock"),
+    (("ed", "check_truncation"), oracle.evolve, "compute_truncation_error"),
+    (("jc", "corrected"), dynamics.jc_inversion, "corrected"),
+    (("scan", "refine", "max_iters"), scan.refine, "max_iters"),
+    (("scan", "refine", "ftol"), scan.refine, "ftol"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, function, keyword",
+    SCHEMA_KEYWORD_DEFAULTS,
+    ids=[".".join(path) for path, _, _ in SCHEMA_KEYWORD_DEFAULTS],
+)
+def test_schema_defaults_equal_the_keyword_defaults_they_repeat(path, function, keyword):
+    field = SCHEMA
+    for key in path:
+        field = field[key]
+    default = inspect.signature(function).parameters[keyword].default
+    assert (type(field.default), field.default) == (type(default), default)

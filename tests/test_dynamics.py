@@ -23,9 +23,9 @@ from rabi_ent.dynamics import (
     _cosine_average,
     _cosine_rows,
     _peak_transition_probs,
-    _phase_blocks,
     _t_coefficients,
 )
+from rabi_ent.oracle import _phase_blocks
 from rabi_ent.spectrum import aa_columns
 
 
@@ -221,8 +221,7 @@ PHASE_FREQS = np.concatenate([np.linspace(-300.0, 300.0, 41), [0.0, -0.0, 1e-3, 
 
 
 def _stacked_phases(freqs, times):
-    # each block is overwritten by the next, so keep copies
-    blocks = [(start, cos.copy(), sin.copy()) for start, cos, sin in _phase_blocks(freqs, times)]
+    blocks = list(_phase_blocks(freqs, times))
     assert [start for start, _, _ in blocks] == list(range(0, times.size, _PHASE_BLOCK))
     for start, cos, sin in blocks:
         assert cos.shape == sin.shape == (min(_PHASE_BLOCK, times.size - start), freqs.size)
@@ -280,8 +279,8 @@ def test_cosine_average_on_uniform_grids_matches_direct_trig(n, t0, t1, shift):
 
 
 def test_transition_prob_working_set_stays_within_phase_blocks_room():
-    # 40,000 times of an n_cut = 2,867 series: the five (128 x 2,868) buffers
-    # that _phase_blocks would hold take 14.7 MB
+    # 40,000 times of an n_cut = 2,867 series, held to the room of five
+    # (128 x 2,868) phase tables, 14.7 MB
     params = ModelParams(ratio_r=0.12, beta=0.42, kappa0=0.02, alpha_sq=2500.0)
     times = np.linspace(0.0, 400.0, 40_000)
     tracemalloc.start()
