@@ -10,6 +10,7 @@ it reproduces the run, byte for byte at a fixed BLAS thread count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -37,26 +38,31 @@ from .specialfn import poisson_logweights
 _PRESET_PANELS = {1: 4, 2: 3, 3: 3, 4: 1}
 
 
-def _atomic_write(path: Path, pieces) -> None:
+def _write_outputs(files) -> None:
+    """Write each (path, pieces) of ``files`` to a temp file beside it, then move all into
+    place; on any failure, remove the temp files and the paths already moved into.
+    """
+    umask = os.umask(0)  # mkstemp creates 0600; give the ordinary umask-derived mode
+    os.umask(umask)
+    temps, moved = [], []
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-        try:
+        for path, pieces in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+            temps.append(tmp_name)
             with os.fdopen(fd, "w") as handle:
                 handle.writelines(pieces)
-            # mkstemp creates 0600; restore the ordinary umask-derived mode
-            umask = os.umask(0)
-            os.umask(umask)
             os.chmod(tmp_name, 0o666 & ~umask)
+        for tmp_name, (path, _) in zip(temps, files):
             os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+            moved.append(path)
+    except BaseException as exc:
+        for name in [*temps, *moved]:
+            with contextlib.suppress(OSError):
+                os.unlink(name)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 def preset_name(fig: int, panel: int) -> str:
@@ -220,10 +226,10 @@ def main(argv=None) -> int:
         header, columns, summary, note = _COMMANDS[args.command][1](cfg)
         out = args.out if args.out is not None else section(cfg, "output")["path"]
         path = Path(out if out is not None else f"{args.command}_{cfg.get('label', source)}.csv")
-        _atomic_write(path, _csv_pieces(header, columns))
         payload = {"command": args.command, "version": __version__, "resolved": cfg, **summary}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         sidecar = path.with_name(path.name + ".json")
-        _atomic_write(sidecar, (json.dumps(payload, indent=2, sort_keys=True), "\n"))
+        _write_outputs([(path, _csv_pieces(header, columns)), (sidecar, [text])])
         print(f"wrote {path} {note}")
         return 0
     except ConfigError as exc:

@@ -113,7 +113,8 @@ def _peak_transition_probs(
     zero, which T does not read) share one spectrum and its phase tables.
     The distinct alpha_sq go in order of first appearance, min(times.size,
     _PHASE_BLOCK) at a time, so the tables held take at most the room of
-    _PHASE_BLOCK rows of phases; each point keeps only its running maximum.
+    _PHASE_BLOCK rows of phases; each point keeps only its running maximum.  A group's
+    phase tables are freed when its rows are done, its spectrum once the next one is built.
     """
     rows_by_alpha: dict[float, list[int]] = {}
     for i, params in enumerate(points):
@@ -130,20 +131,11 @@ def _peak_transition_probs(
                 key = (p.ratio_r, p.beta, p.kappa0, p.kappa_convention)
                 groups.setdefault(key, []).append((i, log_p))
         for members in groups.values():
-            _group_peaks(points[members[0][0]], members, times, peaks)
+            columns = aa_columns(points[members[0][0]], max(log_p.size for _, log_p in members) - 1)
+            coeffs = [_t_coefficients(log_p, columns) for _, log_p in members]
+            for r, values in _cosine_rows(coeffs, columns["rabi_freq"], times, 1.0):
+                peaks[members[r][0]] = np.maximum(peaks[members[r][0]], values.max())
     return peaks
-
-
-def _group_peaks(
-    params: ModelParams, members: list[tuple[int, np.ndarray]], times: np.ndarray, peaks: np.ndarray
-) -> None:
-    """Raise ``peaks[i]`` to max_t T(t) of ``params`` under the Poisson weights ``log_p``,
-    for each (i, log_p) of ``members``; the spectrum and phase tables are freed on return.
-    """
-    columns = aa_columns(params, max(log_p.size for _, log_p in members) - 1)
-    coeffs = [_t_coefficients(log_p, columns) for _, log_p in members]
-    for r, values in _cosine_rows(coeffs, columns["rabi_freq"], times, 1.0):
-        peaks[members[r][0]] = np.maximum(peaks[members[r][0]], values.max())
 
 
 def survival_prob(

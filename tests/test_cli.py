@@ -120,12 +120,39 @@ def run_at_one_and_two_blas_threads(tmp_path, args):
 
 
 def test_oracle_output_agrees_across_blas_thread_counts(tmp_path):
+    # the README's *Command line* gives the agreement across thread counts
+    shown = re.search(r"every `oracle` column agrees within ([\d.e-]+);", readme_prose())
     config = Path(__file__).resolve().parents[1] / "configs" / "fig4_desk_oracle.json"
     outputs = run_at_one_and_two_blas_threads(tmp_path, ["oracle", "--config", str(config)])
     one, two = (read_csv(out) for out in outputs)
     assert one.dtype.names == ("t", "P11", "P1m1", "P10", "P00", "C")
     for name in one.dtype.names:
-        assert np.abs(one[name] - two[name]).max() <= 1e-12, name
+        assert np.abs(one[name] - two[name]).max() <= float(shown.group(1)), name
+
+
+def test_readme_sidecar_example_leaves_out_the_defaults_it_names(tmp_path):
+    # the README's *Command line*: a sidecar holds the config as given, and its example
+    # config's sidecar lacks each key named, at whatever depth
+    config, names = re.search(
+        r"the sidecar of `(configs/[\w.]+)`, for example, has no (.*?)\. ", readme_prose()
+    ).groups()
+    keys = re.findall(r"`([\w.]+)`", names)
+    assert keys, names
+    config = Path(__file__).resolve().parents[1] / config
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--config", str(config), "--out", str(out)]) == 0
+    resolved = json.loads(Path(f"{out}.json").read_text())["resolved"]
+    assert resolved == json.loads(config.read_text())
+
+    def paths(node, prefix):
+        for key, value in node.items():
+            yield prefix + key
+            if isinstance(value, dict):
+                yield from paths(value, f"{prefix}{key}.")
+
+    held = list(paths(resolved, ""))
+    for key in keys:
+        assert not [path for path in held if path == key or path.endswith(f".{key}")], key
 
 
 CLOSED_FORM_RUNS = {
@@ -521,8 +548,13 @@ def test_unwritable_output_is_config_error(case, tmp_path, capsys):
         unwritable = tmp_path / "series.csv.json"
         unwritable.mkdir()
     assert main(["tprob", "--fig", "3", "--out", str(out)]) == 2
-    assert f"config error: cannot write output {unwritable}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: cannot write output {unwritable}: " in err
+    # the message gives the OS reason alone, not the temp file that was removed
+    assert ".tmp" not in err
     assert not [path for path in tmp_path.rglob("*") if path.name.endswith(".tmp")]
+    # an exit 2 leaves neither this run's CSV nor its sidecar
+    assert not out.is_file() and not out.with_name("series.csv.json").is_file()
 
 
 def test_configured_output_path_used_when_out_flag_absent(tmp_path, monkeypatch):
@@ -910,6 +942,30 @@ def test_every_preset_cutoff_meets_the_coherent_state_requirement(tmp_path):
             required = oracle.required_n_max(params_from_config(cfg).alpha_sq)
             assert section(cfg, "ed")["n_max"] >= required, cfg["label"]
     assert main(["oracle", "--fig", "2", "--panel", "3", "--out", str(tmp_path / "o.csv")]) == 0
+
+
+def test_readme_time_point_cap_matches_the_schema():
+    # the README's *Input checks*: the cap on both time-point keys and its memory
+    first, second, base, power, megabytes = re.search(
+        r"The schema caps `([\w.]+)` and `([\w.]+)` at `(\d+)\*\*(\d+)` "
+        r"\((\d+) MB per float column\)",
+        readme_prose(),
+    ).groups()
+    cap = int(base) ** int(power)
+    for name in (first, second):
+        table, key = name.split(".")
+        assert SCHEMA[table][key].le == cap, name
+    assert cap * np.dtype(float).itemsize == int(megabytes) * 10**6
+
+
+def test_readme_oracle_pruning_figures_match_the_bound():
+    # the README's *Oracle pruning*: the bound, what each dropped part moves, and the sum
+    prose = readme_prose()
+    bound = re.search(r"`oracle.PRUNE_BOUND = ([\d.e-]+)`", prose).group(1)
+    each = re.search(r"Each dropped part moves an amplitude by at most `([\d.e-]+)`", prose)
+    total = re.search(r"no amplitude moves by more than `([\d.e-]+)`", prose).group(1)
+    assert float(bound) == float(each.group(1)) == oracle.PRUNE_BOUND
+    assert float(total) == 2 * oracle.PRUNE_BOUND
 
 
 def test_readme_package_layout_names_every_module():
