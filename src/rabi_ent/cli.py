@@ -47,7 +47,10 @@ def _write_outputs(files) -> None:
     temps, moved = [], []
     try:
         for path, pieces in files:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create directory {exc.filename}: {exc.strerror}") from exc
             fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
             temps.append(tmp_name)
             with os.fdopen(fd, "w") as handle:
@@ -113,7 +116,8 @@ def _spectrum(cfg: dict):
     rows_cfg = section(cfg, "spectrum")
     n_min, n_max = rows_cfg["n_min"], rows_cfg["n_max"]
     if n_max is None:
-        n_max = poisson_logweights(params.alpha_sq, section(cfg, "tail_tol")).size - 1
+        n_lo, log_p = poisson_logweights(params.alpha_sq, section(cfg, "tail_tol"))
+        n_max = n_lo + log_p.size - 1
     header = ("N", "omega1N", "omega2N", "t0tilde", "e0", "eplus", "eminus", "weight", "rabi_freq")
     columns = tuple(map(aa_columns(params, n_max, n_min).get, header))
     return header, columns, {"n_min": n_min, "n_max": n_max}, f"({n_max - n_min + 1} rows)"

@@ -38,37 +38,36 @@ def _finite(name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _cosine_rows(coeffs: list, freqs: np.ndarray, times: np.ndarray, shift: float) -> Iterator:
-    """Yield (r, values): sum_N coeffs[r]_N (shift - cos(freqs_N t)) on row r's next
-    times, for rows coeffs[r] >= 0 that each read the leading freqs.
+def _cosine_rows(rows: list, freqs: np.ndarray, times: np.ndarray, shift: float) -> Iterator:
+    """Yield (r, values): sum_N c_N (shift - cos(freqs[window]_N t)) on row r's next
+    times, for rows[r] = (window, c), a slice of freqs and coefficients c >= 0 over it.
 
     On a linspace grid, t = t_s + j dt with a = freqs j dt, b = freqs t_s, each term is
     (shift - cos a) + cos a (1 - cos b) + sin a sin b: a table of a for j < w ~ sqrt(n),
     b for _PHASE_BLOCK / 2 block starts at a time, two matrix-vector products per block
     and row.  Other grids take np.cos alone, laid out (freqs x times), which it evaluates
-    faster than (times x freqs), for _PHASE_BLOCK times at a time.  Rows read prefix
-    views of shared tables, so a row's bits are those of a call with it alone.  Values
-    are clamped into [shift - 1, shift + 1] * sum(coeffs[r]): T(0) = 0 exactly.
+    faster than (times x freqs), for _PHASE_BLOCK times at a time.  Rows read slices of
+    shared tables, so a row's bits are those of a call with it alone.  Values are
+    clamped into [shift - 1, shift + 1] * sum(c): T(0) = 0 exactly.
     """
-    bounds = [((shift - 1.0) * c.sum(), (shift + 1.0) * c.sum()) for c in coeffs]
+    bounds = [((shift - 1.0) * c.sum(), (shift + 1.0) * c.sum()) for _, c in rows]
     if not np.array_equal(times, np.linspace(times[0], times[-1], times.size)):
         for start in range(0, times.size, _PHASE_BLOCK):
             block = shift - np.cos(np.outer(freqs, times[start : start + _PHASE_BLOCK]))
-            for r, c in enumerate(coeffs):
-                yield r, np.clip(c @ block[: c.size], *bounds[r])
+            for r, (n, c) in enumerate(rows):
+                yield r, np.clip(c @ block[n], *bounds[r])
         return
     width = min(math.isqrt(times.size - 1) + 1, _PHASE_BLOCK)
     angles = np.outer(np.arange(width) * ((times[-1] - times[0]) / max(times.size - 1, 1)), freqs)
     sin_j, cos_j = np.sin(angles), np.cos(angles, out=angles)
-    heads = [(shift - cos_j[:, : c.size]) @ c for c in coeffs]
+    heads = [(shift - cos_j[:, n]) @ c for n, c in rows]
     chunk = width * (_PHASE_BLOCK // 2)
     for start in range(0, times.size, chunk):
         sin_s = np.outer(times[start : start + chunk : width], freqs)  # b, until its sine
         vers_s, sin_s = np.subtract(1.0, np.cos(sin_s)), np.sin(sin_s, out=sin_s)
-        for r, c in enumerate(coeffs):
-            n = c.size
-            values = heads[r] + np.matmul(cos_j[:, :n], (c * vers_s[:, :n])[..., None])[..., 0]
-            values += np.matmul(sin_j[:, :n], (c * sin_s[:, :n])[..., None])[..., 0]
+        for r, (n, c) in enumerate(rows):
+            values = heads[r] + np.matmul(cos_j[:, n], (c * vers_s[:, n])[..., None])[..., 0]
+            values += np.matmul(sin_j[:, n], (c * sin_s[:, n])[..., None])[..., 0]
             yield r, np.clip(values.ravel()[: times.size - start], *bounds[r])
 
 
@@ -76,12 +75,8 @@ def _cosine_average(
     coeff: np.ndarray, freqs: np.ndarray, times: np.ndarray, shift: float
 ) -> np.ndarray:
     """sum_N coeff_N * (shift - cos(freqs_N * t)) on ``times``: one row of :func:`_cosine_rows`."""
-    return np.concatenate([values for _, values in _cosine_rows([coeff], freqs, times, shift)])
-
-
-def _t_coefficients(log_p: np.ndarray, columns: dict[str, np.ndarray]) -> np.ndarray:
-    """p(N) * weight_N for N = 0 .. log_p.size - 1; ``columns`` may reach past that."""
-    return np.exp(log_p) * columns["weight"][: log_p.size]
+    rows = _cosine_rows([(slice(None), coeff)], freqs, times, shift)
+    return np.concatenate([values for _, values in rows])
 
 
 def transition_prob(
@@ -89,15 +84,15 @@ def transition_prob(
 ) -> np.ndarray:
     """Averaged transition probability T(t) on ``times``.
 
-    T(t) = sum_N p(N) * weight_N * (1 - cos(rabi_freq_N * t)), with p(N) the
-    Poisson photon weights of the initial coherent state and weight_N,
+    T(t) = sum_N p(N) * weight_N * (1 - cos(rabi_freq_N * t)) over the Poisson window
+    N = n_lo .. n_cut, with p(N) the photon weights of the initial coherent state and weight_N,
     rabi_freq_N from the per-N spectrum rows.  Each weight is at most 1/8 and
     the (1 - cos) factor at most 2, so 0 <= T(t) <= 1/4; T(0) = 0 exactly.
     """
     times = _as_times(times)
-    log_p = poisson_logweights(params.alpha_sq, tail_tol)
-    columns = aa_columns(params, log_p.size - 1)
-    T = _cosine_average(_t_coefficients(log_p, columns), columns["rabi_freq"], times, 1.0)
+    n_lo, log_p = poisson_logweights(params.alpha_sq, tail_tol)
+    columns = aa_columns(params, n_lo + log_p.size - 1, n_lo)
+    T = _cosine_average(np.exp(log_p) * columns["weight"], columns["rabi_freq"], times, 1.0)
     return _finite("T", T)
 
 
@@ -114,7 +109,9 @@ def _peak_transition_probs(
     The distinct alpha_sq go in order of first appearance, min(times.size,
     _PHASE_BLOCK) at a time, so the tables held take at most the room of
     _PHASE_BLOCK rows of phases; each point keeps only its running maximum.  A group's
-    phase tables are freed when its rows are done, its spectrum once the next one is built.
+    spectrum spans its members' Poisson windows, and each row reads its own window's
+    slice of it.  The group's spectrum and phase tables are freed before the next
+    group's are built.
     """
     rows_by_alpha: dict[float, list[int]] = {}
     for i, params in enumerate(points):
@@ -123,18 +120,23 @@ def _peak_transition_probs(
     peaks = np.full(len(points), -np.inf)
     width = min(times.size, _PHASE_BLOCK)
     for start in range(0, len(alphas), width):
-        groups: dict[tuple, list[tuple[int, np.ndarray]]] = {}
-        for alpha_sq, rows in alphas[start : start + width]:
-            log_p = poisson_logweights(alpha_sq, tail_tol)
-            for i in rows:
+        groups: dict[tuple, list[tuple[int, int, np.ndarray]]] = {}  # (i, n_lo, log p)
+        for alpha_sq, indices in alphas[start : start + width]:
+            n_lo, log_p = poisson_logweights(alpha_sq, tail_tol)
+            for i in indices:
                 p = points[i]
                 key = (p.ratio_r, p.beta, p.kappa0, p.kappa_convention)
-                groups.setdefault(key, []).append((i, log_p))
+                groups.setdefault(key, []).append((i, n_lo, log_p))
         for members in groups.values():
-            columns = aa_columns(points[members[0][0]], max(log_p.size for _, log_p in members) - 1)
-            coeffs = [_t_coefficients(log_p, columns) for _, log_p in members]
-            for r, values in _cosine_rows(coeffs, columns["rabi_freq"], times, 1.0):
+            lo = min(n_lo for _, n_lo, _ in members)
+            windows = [slice(n_lo - lo, n_lo - lo + log_p.size) for _, n_lo, log_p in members]
+            columns = aa_columns(points[members[0][0]], lo + max(w.stop for w in windows) - 1, lo)
+            rows = [
+                (w, np.exp(log_p) * columns["weight"][w]) for w, (_, _, log_p) in zip(windows, members)
+            ]
+            for r, values in _cosine_rows(rows, columns["rabi_freq"], times, 1.0):
                 peaks[members[r][0]] = np.maximum(peaks[members[r][0]], values.max())
+            del columns, rows
     return peaks
 
 
@@ -167,8 +169,9 @@ def jc_inversion(
         raise DomainError(f"g must be a real number > 0, got {g!r}")
     delta, g = float(delta), float(g)
     times = _as_times(times)
-    p = np.exp(poisson_logweights(alpha_sq, tail_tol))
-    n_plus_1 = np.arange(1.0, p.size + 1.0)
+    n_lo, log_p = poisson_logweights(alpha_sq, tail_tol)
+    p = np.exp(log_p)
+    n_plus_1 = np.arange(n_lo + 1.0, n_lo + p.size + 1.0)
     if corrected:
         om = np.sqrt(delta * delta + 4.0 * g * g * n_plus_1)
     else:

@@ -7,6 +7,7 @@ x >= 1/16, where 2k+1-x is exact, and by 2.2e-12 at the fig4 beta^2, 6.3e-11 at 
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -34,43 +35,75 @@ def laguerre_sequence(n_max: int, x: float) -> np.ndarray:
     return np.array(values[: n_max + 1])
 
 
-def poisson_logpmf(alpha_sq: float, n_max: int) -> np.ndarray:
-    """log p(N) = -alpha_sq + N log(alpha_sq) - log N! for N = 0 .. n_max.
+# stirlerr(N) = log N! - (N + 1/2) log N + N - log(2 pi) / 2, exact to double for N = 1 .. 15
+_STIRLERR = np.array([0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748, 0.01189670994589177,
+    0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
+    0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])  # fmt: skip
+_LOW_MASS = 1e-18  # the window drops the N below the first whose cumulative mass exceeds this
 
-    Computed in log space, so there is no factorial overflow for any
-    practical table length; at alpha_sq == 0 the vacuum has log p(0) = 0
-    and every other entry is -inf.
+
+def poisson_logpmf(alpha_sq: float, n_max: int) -> np.ndarray:
+    """log p(N) for N = 0 .. n_max of a Poisson law with mean alpha_sq, in Loader's
+    saddle-point form -stirlerr(N) - bd0(N, alpha_sq) - log(2 pi N) / 2 (C. Loader, *Fast
+    and Accurate Computation of Binomial Probabilities*, 2000), whose terms stay O(1) near
+    the peak; log p(0) = -alpha_sq, and at alpha_sq == 0 every N > 0 has log p(N) = -inf.
     """
     ns = np.arange(n_max + 1, dtype=float)
     if alpha_sq == 0.0:
         return np.where(ns == 0.0, 0.0, -np.inf)
-    log_p = -alpha_sq + ns * math.log(alpha_sq)
-    log_p -= np.array([math.lgamma(n + 1.0) for n in range(n_max + 1)])
+    big = ns[16:]
+    u = 1.0 / (big * big)  # stirlerr's asymptotic series from N = 16 on
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - u / 1188) * u) * u) * u) / big
+    stirlerr = np.concatenate((_STIRLERR[: n_max + 1], series))
+    # bd0 = N log(N / alpha_sq) + alpha_sq - N; below alpha_sq = 1 the two logs add and
+    # N / alpha_sq may overflow.  Where |v| < 0.1, v = (N - a) / (N + a), its terms cancel
+    # and it is summed as a series in v instead.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(ns) - math.log(alpha_sq) if alpha_sq < 1.0 else np.log(ns / alpha_sq)
+        bd0 = ns * log_ratio + (alpha_sq - ns)
+    near = np.abs(ns - alpha_sq) < 0.1 * (ns + alpha_sq)
+    x = ns[near]
+    v = (x - alpha_sq) / (x + alpha_sq)
+    s, term = (x - alpha_sq) * v, 2.0 * x * v
+    for j in range(1, 10):  # term j is below 0.1^(2j-1) of the sum
+        term *= v * v
+        s += term / (2 * j + 1)
+    bd0[near] = s
+    log_p = -stirlerr - bd0
+    log_p[1:] -= 0.5 * np.log(2.0 * math.pi * ns[1:])
+    log_p[0] = -alpha_sq
     return log_p
 
 
-def poisson_logweights(alpha_sq: float, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
-    """Log-space Poisson photon-number weights log p(N) of a coherent state, from
-    :func:`poisson_logpmf`, for N = 0 .. n_cut: n_cut is the first N whose cumulative
-    mass reaches 1 - tail_tol, and the array's size is n_cut + 1.
+def poisson_logweights(alpha_sq: float, tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[int, np.ndarray]:
+    """The Poisson photon-number window of a coherent state: (n_lo, log p(N) for N = n_lo
+    .. n_cut) from :func:`poisson_logpmf`.  n_cut is the first N whose cumulative mass
+    reaches 1 - tail_tol, and n_lo the first whose cumulative mass exceeds 1e-18.
 
-    The captured mass sum_N p(N) is at least 1 - tail_tol, up to 2e-15, for alpha_sq < 1227.3.
-    Past that the terms of log p(N) cancel from ever larger magnitudes; at tail_tol = 1e-12,
-    1 - sum_N p(N) first exceeds 1.1e-12 at 1323.1 and reaches 1.60e-12 at 1841.2 (alpha_sq
-    in steps of 0.05), 5.0e-12 below 5300 and 1.58e-11 at 2e4 (in steps of 10).
+    The window's mass sum_N p(N) is at least 1 - tail_tol - 1e-18, up to rounding, for
+    any alpha_sq under the 2e6 ceiling.  The array is read-only: the last call's table
+    is kept and returned again for the same (alpha_sq, tail_tol).
     """
     if not (_is_real(alpha_sq) and alpha_sq >= 0.0):
         raise DomainError(f"alpha_sq must be a real number >= 0, got {alpha_sq!r}")
     if not (_is_real(tail_tol) and 0.0 < tail_tol <= 1e-6):
         raise DomainError(f"tail_tol must be a real number in (0, 1e-6], got {tail_tol!r}")
-    alpha_sq, tail_tol = float(alpha_sq), float(tail_tol)
+    return _poisson_window(float(alpha_sq), float(tail_tol))
+
+
+@functools.lru_cache(maxsize=1)
+def _poisson_window(alpha_sq: float, tail_tol: float) -> tuple[int, np.ndarray]:
     n_hi = int(alpha_sq + 12.0 * math.sqrt(alpha_sq + 1.0) + 40.0)
     if n_hi > 2_000_000:
         raise CapacityError("Poisson table would exceed 2e6 entries")
     log_p = poisson_logpmf(alpha_sq, n_hi)
-    hit = np.nonzero(np.cumsum(np.exp(log_p)) >= 1.0 - tail_tol)[0]
-    # the mass at n_hi is below 1e-34 for every alpha_sq under the ceiling, far below float64
-    # resolution near 1: a table that misses 1 - tail_tol here misses it at any larger n_hi
-    cut = int(hit[0]) if hit.size else n_hi
-    # a copy, so that the result does not keep the whole trial array alive
-    return log_p[: cut + 1].copy()
+    masses = np.exp(log_p)
+    n_lo = int(np.searchsorted(np.cumsum(masses), _LOW_MASS, side="right"))
+    # the upper tails, summed from the top: the cut is the exact first N, where a cumsum
+    # from N = 0 rounds at 1 and may cut one late.  p(n_hi) < 1e-34 for every alpha_sq
+    # under the ceiling, so a table that misses 1 - tail_tol misses it at any larger n_hi.
+    cut = n_hi - int(np.searchsorted(np.cumsum(masses[::-1]), tail_tol, side="right"))
+    log_p = log_p[n_lo : cut + 1].copy()  # a copy: the trial array is not kept alive
+    log_p.flags.writeable = False
+    return n_lo, log_p

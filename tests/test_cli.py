@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -339,8 +340,9 @@ def test_spectrum_rows_default_to_the_poisson_cut(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "cfg.json", {"model": AA_VALID_MODEL, "tail_tol": 1e-8})
     assert main(["spectrum", "--config", cfg, "--out", "spec.csv"]) == 0
-    n_cut = specialfn.poisson_logweights(9.0, 1e-8).size - 1
-    assert n_cut < specialfn.poisson_logweights(9.0).size - 1
+    n_lo, log_p = specialfn.poisson_logweights(9.0, 1e-8)
+    n_cut = n_lo + log_p.size - 1
+    assert n_lo == 0 and n_cut < specialfn.poisson_logweights(9.0)[1].size - 1
     assert read_csv(tmp_path / "spec.csv")["N"].tolist() == list(range(n_cut + 1))
     sidecar = json.loads((tmp_path / "spec.csv.json").read_text())
     assert (sidecar["n_min"], sidecar["n_max"]) == (0, n_cut)
@@ -509,6 +511,23 @@ def test_unknown_figure_and_panel(tmp_path, monkeypatch):
     assert main(["tprob", "--fig", "4", "--panel", "3"]) == 2
 
 
+@pytest.mark.parametrize("key, value", [("kappa0", 1e200), ("kappa0", 1e308), ("kappa0", -1e308), ("beta", 1e200)])
+def test_oracle_at_extreme_couplings_exits_without_traceback(key, value, tmp_path, capsys):
+    # ||H|| past ~1e154 overflowed the squares of the eigenpair residual norm, and the
+    # oracle exited 1 with a RuntimeError; 1e200 now runs, and +-1e308 reaches the
+    # concurrence's non-finite check
+    model = {"ratio_r": 0.2, "beta": 0.3, "kappa0": 0.1, "alpha_sq": 4.0, key: value}
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"model": model, "time_grid": {"t_max": 10.0, "points": 11}, "ed": {"n_max": 40}},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert code == (3 if abs(value) == 1e308 else 0)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_out_path_respected(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "nested" / "series.csv"
@@ -535,21 +554,29 @@ def test_failed_replace_leaves_no_file_behind(tmp_path, monkeypatch, capsys):
     assert list(out.parent.iterdir()) == []
 
 
-@pytest.mark.parametrize("case", ["out-is-a-directory", "out-under-a-file", "sidecar-is-a-directory"])
+@pytest.mark.parametrize(
+    "case", ["out-is-a-directory", "out-under-a-file", "out-two-under-a-file", "sidecar-is-a-directory"]
+)
 def test_unwritable_output_is_config_error(case, tmp_path, capsys):
     out = tmp_path / "series.csv"
     if case == "out-is-a-directory":
         out.mkdir()
-        unwritable = out
+        expected = f"cannot write output {out}: "
     elif case == "out-under-a-file":
+        # the directory that cannot be created is named, not the output under it
         (tmp_path / "file").write_text("")
-        out = unwritable = tmp_path / "file" / "series.csv"
+        out = tmp_path / "file" / "series.csv"
+        expected = f"cannot create directory {out.parent}: File exists\n"
+    elif case == "out-two-under-a-file":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub" / "series.csv"
+        expected = f"cannot create directory {out.parent}: Not a directory\n"
     else:
-        unwritable = tmp_path / "series.csv.json"
-        unwritable.mkdir()
+        (tmp_path / "series.csv.json").mkdir()
+        expected = f"cannot write output {tmp_path / 'series.csv.json'}: "
     assert main(["tprob", "--fig", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"config error: cannot write output {unwritable}: " in err
+    assert f"config error: {expected}" in err
     # the message gives the OS reason alone, not the temp file that was removed
     assert ".tmp" not in err
     assert not [path for path in tmp_path.rglob("*") if path.name.endswith(".tmp")]
@@ -1106,6 +1133,34 @@ def test_readme_oracle_window_figures_match_a_fresh_computation():
         above = mpmath.gammainc(n_max + 1, 0, alpha_sq, regularized=True)
         assert shown_as(float(mpmath.log10(below)), below_shown)
         assert shown_as(float(mpmath.log10(above)), above_shown)
+
+
+def test_readme_poisson_window_figures_match_the_presets():
+    # the README's *Poisson window*: the lower-mass threshold, the bound it puts on T
+    # (each term is p(N) w_N (1 - cos) <= p(N) / 4), and the terms dropped per preset
+    prose = readme_prose()
+    low, moved = re.search(
+        r"cumulative mass exceeds `([\d.e-]+)`\. The terms below `n_lo` hold at most `\1` of "
+        r"the mass, so leaving them out moves `T` by at most `([\d.e-]+)`",
+        prose,
+    ).groups()
+    assert float(low) == specialfn._LOW_MASS and float(moved) == specialfn._LOW_MASS / 4
+    drops = re.search(
+        r"The window drops (\d+) of (\d+) terms at `--fig 3 --panel 1`, (\d+) of (\d+) at "
+        r"`--fig 3 --panel 2` and (\d+) of (\d+) at `--fig 4`, and none at `--fig 1` or `--fig 2`",
+        prose,
+    ).groups()
+
+    def window(fig, panel):
+        cfg = load_preset(fig, panel)
+        n_lo, log_p = specialfn.poisson_logweights(
+            params_from_config(cfg).alpha_sq, section(cfg, "tail_tol")
+        )
+        return n_lo, n_lo + log_p.size
+
+    shown = [window(3, 1), window(3, 2), window(4, 1)]
+    assert [int(value) for value in drops] == [n for pair in shown for n in pair]
+    assert all(window(fig, panel)[0] == 0 for fig, panel in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3)])
 
 
 # SCHEMA defaults that repeat a keyword default: (schema path, function, keyword)

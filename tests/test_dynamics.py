@@ -23,7 +23,6 @@ from rabi_ent.dynamics import (
     _cosine_average,
     _cosine_rows,
     _peak_transition_probs,
-    _t_coefficients,
 )
 from rabi_ent.oracle import _phase_blocks
 from rabi_ent.spectrum import aa_columns
@@ -176,9 +175,9 @@ def test_transition_prob_blocking_is_invisible():
     whole = transition_prob(params, times)
     split = np.concatenate([transition_prob(params, half) for half in halves])
     assert np.array_equal(whole, split)
-    log_p = poisson_logweights(params.alpha_sq)
-    columns = aa_columns(params, log_p.size - 1)
-    coeff, freqs = _t_coefficients(log_p, columns), columns["rabi_freq"]
+    n_lo, log_p = poisson_logweights(params.alpha_sq)
+    columns = aa_columns(params, n_lo + log_p.size - 1, n_lo)
+    coeff, freqs = np.exp(log_p) * columns["weight"], columns["rabi_freq"]
     direct = coeff @ (1.0 - np.cos(np.outer(freqs, times)))
     # the same angles and cosines, summed in another order: N terms of at most 2 c_N each
     sum_bound = 2.0 * freqs.size * np.finfo(float).eps * coeff.sum()
@@ -199,12 +198,14 @@ def test_transition_prob_blocking_is_invisible():
 
 
 def test_shared_cosine_block_rows_equal_single_row_calls():
-    # coefficient rows of different lengths read prefix views of one set of
-    # tables, as the grid scan's rows do, on a uniform grid with more than one
-    # chunk of block starts and on a non-uniform grid of more than one block
+    # coefficient rows of different lengths read slices of one set of tables from
+    # different first indices, as the grid scan's Poisson windows do, on a uniform
+    # grid with more than one chunk of block starts and on a non-uniform grid of
+    # more than one block
     rng = np.random.default_rng(7)
     freqs = rng.uniform(0.0, 3.0, 40)
-    coeffs = [rng.uniform(0.0, 0.1, n) for n in (40, 5, 17, 1)]
+    spans = [(0, 40), (0, 5), (3, 17), (39, 1), (12, 28), (7, 9)]
+    coeffs = [(slice(lo, lo + n), rng.uniform(0.0, 0.1, n)) for lo, n in spans]
     uniform = np.linspace(0.0, 300.0, 9001)
     scattered = np.sort(rng.uniform(0.0, 300.0, 2 * _PHASE_BLOCK + 77))
     for times in (uniform, scattered):
@@ -212,8 +213,8 @@ def test_shared_cosine_block_rows_equal_single_row_calls():
             rows = [[] for _ in coeffs]
             for r, values in _cosine_rows(coeffs, freqs, times, shift):
                 rows[r].append(values)
-            for coeff, row in zip(coeffs, rows):
-                single = _cosine_average(coeff, freqs[: coeff.size], times, shift)
+            for (window, coeff), row in zip(coeffs, rows):
+                single = _cosine_average(coeff, freqs[window], times, shift)
                 assert np.array_equal(np.concatenate(row), single)
 
 
@@ -297,9 +298,9 @@ def built_spectra(monkeypatch):
     """(params, n_max) of every spectrum the dynamics module builds, in order."""
     built = []
 
-    def counting(params, n_max):
+    def counting(params, n_max, n_min=0):
         built.append((params, n_max))
-        return aa_columns(params, n_max)
+        return aa_columns(params, n_max, n_min)
 
     monkeypatch.setattr(rabi_ent.dynamics, "aa_columns", counting)
     return built
@@ -325,6 +326,21 @@ def test_peak_transition_probs_equal_series_maxima(built_spectra):
         assert peak == transition_prob(point, times).max()
 
 
+def test_peak_transition_probs_read_each_poisson_window(built_spectra):
+    # a 2-D (beta, alpha_sq) grid whose members start their windows at different n_lo:
+    # each beta's spectrum spans every window, and each row reads its own slice of it
+    params = ModelParams(ratio_r=0.12, beta=0.42, kappa0=0.02)
+    alphas = [250.0, 64.43, 9.0, 106.0, 101.06]
+    assert len({poisson_logweights(a)[0] for a in alphas}) == len(alphas)
+    points = [replace(params, beta=b, alpha_sq=a) for b in (0.42, 0.3) for a in alphas]
+    for times in (np.linspace(0.0, 400.0, 1001), 400.0 * np.linspace(0.0, 1.0, 300) ** 2):
+        built_spectra.clear()
+        peaks = _peak_transition_probs(points, times)
+        assert len(built_spectra) == 2
+        for point, peak in zip(points, peaks):
+            assert peak == transition_prob(point, times).max()
+
+
 def test_peak_transition_probs_takes_one_block_width_of_alpha_sq_at_a_time(built_spectra):
     # 5 times: a block is 5 wide, so 12 distinct alpha_sq make batches of 5, 5 and 2,
     # each with one spectrum as long as its longest table
@@ -333,7 +349,10 @@ def test_peak_transition_probs_takes_one_block_width_of_alpha_sq_at_a_time(built
     points = [replace(params, alpha_sq=a) for a in alphas + alphas[::-1]]
     times = np.linspace(0.0, 50.0, 5)
     peaks = _peak_transition_probs(points, times)
-    n_cut = {a: poisson_logweights(a).size - 1 for a in alphas}
+    n_cut = {}
+    for a in alphas:
+        n_lo, log_p = poisson_logweights(a)
+        n_cut[a] = n_lo + log_p.size - 1
     assert [n_max for _, n_max in built_spectra] == [n_cut[12.0], n_cut[9.0], n_cut[11.0]]
     for point, peak in zip(points, peaks):
         assert peak == transition_prob(point, times).max()
@@ -418,11 +437,11 @@ def test_jc_inversion_matches_dressed_state_oracle():
     # (basis |e,n>, |g,n+1> plus the dark |g,0>) and evolve |e> x |alpha>
     delta, g, alpha_sq = 0.4, 1.0, 6.0
     n_max = 60
-    log_p = poisson_logweights(alpha_sq, 1e-12)
+    n_lo, log_p = poisson_logweights(alpha_sq, 1e-12)
     amps = np.exp(0.5 * log_p)
     times = np.linspace(0.0, 25.0, 251)
     w_oracle = np.zeros_like(times)
-    for n in range(log_p.size):
+    for n in range(n_lo, n_lo + log_p.size):
         h_block = np.array(
             [[0.5 * delta, g * math.sqrt(n + 1.0)], [g * math.sqrt(n + 1.0), -0.5 * delta]]
         )
@@ -431,10 +450,10 @@ def test_jc_inversion_matches_dressed_state_oracle():
         phases = np.exp(-1j * np.outer(evals, times))
         states = evecs @ (phases * c0[:, None])
         sz = np.abs(states[0]) ** 2 - np.abs(states[1]) ** 2
-        w_oracle += amps[n] ** 2 * sz
+        w_oracle += amps[n - n_lo] ** 2 * sz
     series = jc_inversion(delta, g, alpha_sq, times)
     assert series == pytest.approx(w_oracle, abs=1e-10)
-    assert n_max > log_p.size - 1  # oracle covered the whole weight table
+    assert n_max > n_lo + log_p.size - 1  # oracle covered the whole weight table
 
 
 def test_jc_inversion_domain_errors():
@@ -454,7 +473,7 @@ def test_jc_inversion_domain_errors():
 def test_poisson_masses_power_transition_prob():
     # transition series must respect the table's truncation window
     params = ModelParams(ratio_r=0.23, beta=0.26, kappa0=0.1, alpha_sq=25.0)
-    masses = np.exp(poisson_logweights(25.0))
+    masses = np.exp(poisson_logweights(25.0)[1])
     times = np.linspace(0.0, 10.0, 21)
     values = transition_prob(params, times)
     # coarse upper bound: total mass times max weight times 2

@@ -147,6 +147,23 @@ def test_checked_eigh_checks_the_residual_of_every_chunk(target):
     assert sum(corrupted) == 1
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e160, 1e200, 1e300])
+def test_checked_eigh_residual_test_is_relative_at_any_scale(scale):
+    # the residual is divided by ||H|| before its norm is taken, whose squares
+    # overflowed past ||H|| ~ 1e154; a corrupted pair still fails at every scale
+    a = np.random.default_rng(5).standard_normal((40, 40))
+    h = 0.5 * (a + a.T) * scale
+    _checked_eigh(h, h.__matmul__)
+
+    def product(v):
+        hv = h @ v
+        hv[:, -1] += 1e-6 * scale
+        return hv
+
+    with pytest.raises(RuntimeError, match="eigenpair residual"):
+        _checked_eigh(h, product)
+
+
 def test_eigendecompose_rejects_bad_input():
     with pytest.raises(DomainError):
         eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -174,9 +191,22 @@ def test_coherent_amplitudes_norm_and_values():
 
 @pytest.mark.parametrize("alpha_sq", [0.0, 0.0033, 0.37, 16.0, 106.0, 250.0])
 def test_coherent_amplitudes_are_square_roots_of_the_poisson_table(alpha_sq):
-    log_p = poisson_logweights(alpha_sq)
-    amps = _coherent_amplitudes(alpha_sq, max(log_p.size - 1, required_n_max(alpha_sq)))
-    assert np.array_equal(amps[: log_p.size], np.exp(0.5 * log_p))
+    n_lo, log_p = poisson_logweights(alpha_sq)
+    n_cut = n_lo + log_p.size - 1
+    amps = _coherent_amplitudes(alpha_sq, max(n_cut, required_n_max(alpha_sq)))
+    assert np.array_equal(amps[n_lo : n_cut + 1], np.exp(0.5 * log_p))
+    # the window drops a lower tail of at most 1e-18
+    assert float(np.sum(amps[:n_lo] ** 2)) <= 1e-18
+
+
+def test_coherent_amplitudes_are_normalized_near_the_dimension_ceiling():
+    # an admitted coherent state (dimension 8,072 of 8,192) at which the form
+    # -alpha_sq + N log alpha_sq - lgamma(N + 1) left 1 - ||psi0|| = 9.25e-13, 7.5% short
+    # of the check's 1e-12
+    alpha_sq = 1614.84977
+    n_max = required_n_max(alpha_sq)
+    assert 4 * (n_max + 1) <= oracle.DIM_CEILING
+    assert abs(1.0 - np.linalg.norm(_coherent_amplitudes(alpha_sq, n_max))) <= 1e-14
 
 
 def test_evolve_requires_adequate_cutoff():
