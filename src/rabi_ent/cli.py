@@ -20,6 +20,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
+from ._csvtext import rows_text
 from .config import (
     _scanspec,
     load_config,
@@ -99,11 +100,9 @@ def _resolve_config(args) -> tuple[dict, str]:
 
 def _csv_pieces(header, columns):
     """The CSV text in pieces of 4096 rows: integer columns by %d, float columns by %.17g."""
-    row = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns) + "\n"
     yield ",".join(header) + "\n"
     for start in range(0, columns[0].size, 4096):
-        values = (col[start : start + 4096].tolist() for col in columns)
-        yield "".join(map(row.__mod__, zip(*values)))
+        yield rows_text([col[start : start + 4096] for col in columns])
 
 
 # Each compute function maps a validated config to the CSV header, the CSV

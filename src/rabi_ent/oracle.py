@@ -293,8 +293,16 @@ def _phase_blocks(freqs: np.ndarray, times: np.ndarray) -> Iterator[tuple]:
     w*(t_s + j*dt), t_s a block's first time and 0 <= j < _PHASE_BLOCK, come by
     angle addition from those of w*t_s and w*j*dt: 2*(_PHASE_BLOCK + ceil(n/_PHASE_BLOCK))
     cos-plus-sin evaluations per frequency w once n >= _PHASE_BLOCK, not 2*n.  Any other
-    grid takes np.cos and np.sin directly.
+    grid takes np.cos and np.sin directly.  Before the first block, a DomainError reports
+    angles that would overflow: each |w t|, and |w| (t_last - t_first) on a linspace grid,
+    is at most max|w| (|t_first| + |t_last|).
     """
+    w_max = float(np.abs(freqs).max(initial=0.0))
+    if not math.isfinite(w_max * (abs(float(times[0])) + abs(float(times[-1])))):
+        raise DomainError(
+            f"phases E*t overflow: max|E| = {w_max:.3e} at times up to "
+            f"{max(abs(times[0]), abs(times[-1])):.3e}"
+        )
     if not np.array_equal(times, np.linspace(times[0], times[-1], times.size)):
         for start in range(0, times.size, _PHASE_BLOCK):
             angles = np.outer(times[start : start + _PHASE_BLOCK], freqs)

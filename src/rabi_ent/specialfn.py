@@ -29,9 +29,14 @@ def laguerre_sequence(n_max: int, x: float) -> np.ndarray:
     if not (_is_real(x) and x >= 0.0):
         raise DomainError(f"argument must be a real number >= 0, got {x!r}")
     n_max, x = int(n_max), float(x)
-    values = [1.0, 1.0 - x]
-    for k in range(1, n_max):
-        values.append(((2.0 * k + 1.0 - x) * values[k] - k * values[k - 1]) / (k + 1.0))
+    prev, last = 1.0, 1.0 - x
+    values = [prev, last]
+    append = values.append
+    k = 1.0  # a float counter: the products and sums are those of an int k, done faster
+    for _ in range(1, n_max):
+        prev, last = last, ((2.0 * k + 1.0 - x) * last - k * prev) / (k + 1.0)
+        append(last)
+        k += 1.0
     return np.array(values[: n_max + 1])
 
 
@@ -40,6 +45,7 @@ _STIRLERR = np.array([0.0, 0.08106146679532726, 0.0413406959554093, 0.0276779256
     0.020790672103765093, 0.016644691189821193, 0.013876128823070748, 0.01189670994589177,
     0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
     0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])  # fmt: skip
+_ODD = np.arange(3.0, 20.0, 2.0)
 _LOW_MASS = 1e-18  # the window drops the N below the first whose cumulative mass exceeds this
 
 
@@ -52,24 +58,30 @@ def poisson_logpmf(alpha_sq: float, n_max: int) -> np.ndarray:
     ns = np.arange(n_max + 1, dtype=float)
     if alpha_sq == 0.0:
         return np.where(ns == 0.0, 0.0, -np.inf)
+    stirlerr = np.empty(n_max + 1)
+    stirlerr[:16] = _STIRLERR[: n_max + 1]
     big = ns[16:]
     u = 1.0 / (big * big)  # stirlerr's asymptotic series from N = 16 on
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - u / 1188) * u) * u) * u) / big
-    stirlerr = np.concatenate((_STIRLERR[: n_max + 1], series))
+    series = 1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - u / 1188) * u) * u) * u
+    np.divide(series, big, out=stirlerr[16:])
     # bd0 = N log(N / alpha_sq) + alpha_sq - N; below alpha_sq = 1 the two logs add and
     # N / alpha_sq may overflow.  Where |v| < 0.1, v = (N - a) / (N + a), its terms cancel
-    # and it is summed as a series in v instead.
+    # and it is summed as a series in v instead: one run of N, around alpha_sq.
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.log(ns) - math.log(alpha_sq) if alpha_sq < 1.0 else np.log(ns / alpha_sq)
         bd0 = ns * log_ratio + (alpha_sq - ns)
-    near = np.abs(ns - alpha_sq) < 0.1 * (ns + alpha_sq)
+    run = np.flatnonzero(np.abs(ns - alpha_sq) < 0.1 * (ns + alpha_sq))
+    near = slice(run[0], run[-1] + 1) if run.size else slice(0)
     x = ns[near]
     v = (x - alpha_sq) / (x + alpha_sq)
-    s, term = (x - alpha_sq) * v, 2.0 * x * v
-    for j in range(1, 10):  # term j is below 0.1^(2j-1) of the sum
-        term *= v * v
-        s += term / (2 * j + 1)
-    bd0[near] = s
+    # terms 2 x v^(2j+1) / (2j+1), j = 1 .. 9, each below 0.1^(2j-1) of the sum, added
+    # in order to (x - alpha_sq) v
+    terms = np.empty((10, x.size))
+    terms[0], terms[1:] = 2.0 * x * v, v * v
+    np.multiply.accumulate(terms, out=terms)
+    terms[1:] /= _ODD[:, None]
+    terms[0] = (x - alpha_sq) * v
+    bd0[near] = np.add.accumulate(terms, out=terms)[-1]
     log_p = -stirlerr - bd0
     log_p[1:] -= 0.5 * np.log(2.0 * math.pi * ns[1:])
     log_p[0] = -alpha_sq

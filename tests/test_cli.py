@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import decimal
 import inspect
 import json
 import math
@@ -36,6 +37,7 @@ from rabi_ent.config import (
     times_from_config,
     validate_config,
 )
+from rabi_ent.errors import ConfigError
 from rabi_ent.scan import ScanSpec, grid_scan
 
 AA_VALID_MODEL = {"ratio_r": 0.05, "beta": 0.2, "kappa0": 0.0, "alpha_sq": 9.0}
@@ -267,6 +269,73 @@ def test_csv_writer_over_more_than_one_chunk():
     pieces = list(_csv_pieces(("N", "t", "W"), columns))
     assert len(pieces) == 1 + 3  # header, then chunks of 4096, 4096 and 809 rows
     assert "".join(pieces) == per_value_csv(("N", "t", "W"), columns)
+
+
+def real_outputs():
+    """(header, columns) of every command on every preset and every config that takes it;
+    the oracle without its truncation re-run, which changes no column."""
+    from rabi_ent import cli
+
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted([*root.glob("configs/*.json"), *root.glob("perfbench/configs/*.json")])
+    presets = [(fig, panel) for fig, n in cli._PRESET_PANELS.items() for panel in range(1, n + 1)]
+    for cfg in [load_preset(*preset) for preset in presets] + [load_config(path) for path in paths]:
+        cfg["ed"] = {**cfg.get("ed", {}), "check_truncation": False}
+        for _, compute in cli._COMMANDS.values():
+            try:
+                header, columns, _, _ = compute(cfg)
+            except ConfigError:  # a section the command needs is missing
+                continue
+            yield header, columns
+
+
+def test_csv_writer_byte_contract():
+    # the vectorized writer against per-value formatting, on values chosen to reach every
+    # branch: exponents it steps, ties and the values it leaves to the % operator
+    rng = np.random.default_rng(27)
+    bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64)
+    exponents = rng.integers(1023 - 930, 1023 + 54, bits.size, dtype=np.uint64)  # 1e-280 .. 1e16
+    inside = rng.random(bits.size) < 0.9
+    bits[inside] = bits[inside] & ~np.uint64(0x7FF << 52) | exponents[inside] << np.uint64(52)
+    tens = np.array([float(f"1e{k}") for k in range(-300, 20)]).view(np.int64)
+    near_tens = (tens[:, None] + np.arange(-30, 31)).view(np.float64).ravel()
+    dyadic = np.ldexp(np.arange(1.0, 2000.0, 2.0)[:, None], -np.arange(1, 70)).ravel()
+    ties = [x for x in dyadic[:5000].tolist() if len(decimal.Decimal(x).as_tuple().digits) == 18]
+    assert 2.0**-25 in ties and len(ties) > 50
+    decimals = rng.integers(-(10**6), 10**6, 10**5) / 10.0 ** rng.integers(0, 8, 10**5)
+    integers = np.concatenate([np.arange(-20000.0, 20000.0), 2.0**53 + np.arange(-50.0, 50.0)])
+    subnormals = rng.integers(0, 2**52, 1000, dtype=np.uint64).view(np.float64)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e16, 1e-280, 9999999999999998.0])
+    parts = (near_tens, dyadic, decimals, integers, subnormals, special)
+    values = np.concatenate([bits.view(np.float64), *parts, *(-part for part in parts)])
+    values = np.concatenate([values, np.zeros(-values.size % 4)])
+    columns = tuple(values.reshape(-1, 4).T.copy())
+    header = ("a", "b", "c", "d")
+    text = "".join(_csv_pieces(header, columns))
+    assert text == per_value_csv(header, [column.tolist() for column in columns])
+    for header, columns in real_outputs():
+        assert "".join(_csv_pieces(header, columns)) == per_value_csv(header, columns), header
+
+
+def test_readme_per_value_classes_match_the_writer():
+    # the README's *Command line* lists what the writer leaves to the % operator
+    from rabi_ent import _csvtext
+
+    guard, tie, top, bottom, integer = re.search(
+        r"a value within (\S+) of a rounding tie \(such as `(\S+)`\), \|x\| >= (\S+) or "
+        r"0 < \|x\| < (\S+), `nan` and `±inf`, and an integer beyond (\S+)\.",
+        readme_prose(),
+    ).groups()
+    assert _csvtext._TIE_GUARD == float(guard)
+    tie, integer = (2 ** int(text.removeprefix("2**")) for text in (tie, integer))
+    edges = [tie, float(top), np.nextafter(float(top), 0.0), float(bottom)]
+    edges += [np.nextafter(float(bottom), 0.0), np.nan, np.inf, -np.inf, 0.1, -0.0]
+    values = np.array(edges)
+    per_value = _csvtext._fields(values, 1, np.empty((values.size, 6), np.uint64))
+    assert per_value.tolist() == [0, 1, 4, 5, 6, 7]
+    beyond = integer + 1  # a float would round it to 2**53
+    text = "".join(_csv_pieces(("N",), (np.array([beyond, -beyond]),)))
+    assert text == f"N\n{beyond}\n{-beyond}\n"
 
 
 def test_main_builds_its_parser_once_per_process(monkeypatch, tmp_path):
@@ -514,8 +583,8 @@ def test_unknown_figure_and_panel(tmp_path, monkeypatch):
 @pytest.mark.parametrize("key, value", [("kappa0", 1e200), ("kappa0", 1e308), ("kappa0", -1e308), ("beta", 1e200)])
 def test_oracle_at_extreme_couplings_exits_without_traceback(key, value, tmp_path, capsys):
     # ||H|| past ~1e154 overflowed the squares of the eigenpair residual norm, and the
-    # oracle exited 1 with a RuntimeError; 1e200 now runs, and +-1e308 reaches the
-    # concurrence's non-finite check
+    # oracle exited 1 with a RuntimeError; 1e200 now runs, and at +-1e308 the phases E*t
+    # overflow, which is reported before any phase is drawn, with no numpy warning
     model = {"ratio_r": 0.2, "beta": 0.3, "kappa0": 0.1, "alpha_sq": 4.0, key: value}
     cfg = write_config(
         tmp_path / "cfg.json",
@@ -523,9 +592,12 @@ def test_oracle_at_extreme_couplings_exits_without_traceback(key, value, tmp_pat
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow and invalid value
         code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
     assert code == (3 if abs(value) == 1e308 else 0)
-    assert "Traceback" not in capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("numeric domain error: phases E*t overflow: max|E| = 2.000e+307" in err) == (code == 3)
 
 
 def test_out_path_respected(tmp_path, monkeypatch):
