@@ -15,9 +15,9 @@ field leaves free:
 
 The mask keeps the digits up to the last nonzero one (and all those of the integer part)
 and the one '.' that follows the last integer digit, or D0 when X < -4, if digits follow
-it.  The % operator itself writes what the guard does not certify: a value within 1e-6
-of a rounding tie, |x| >= 1e16 or 0 < |x| < 1e-280, nan and +-inf, and an integer beyond
-2**53.
+it.  nan and +-inf take word 0 as "nan", "inf" or "-inf" and the mask of a zero.  The %
+operator itself writes what the guard does not certify: a value within 1e-6 of a rounding
+tie, |x| >= 1e16 or 0 < |x| < 1e-280, and an integer beyond 2**53.
 """
 
 from __future__ import annotations
@@ -95,8 +95,10 @@ _WORD0 = (  # by (layout, D0, sign): the sign, the prefix, D0 and a '.'
 # word 5 by (last column, X): the exponent and the separator
 _EXPONENT = _words(b"e%+03d" % x if x < -4 else b"" for x in range(_X_MIN, 17))
 _WORD5 = np.concatenate([_EXPONENT + (np.uint64(ord(end)) << np.uint64(40)) for end in ",\n"])
-_TABLE = np.concatenate((_DIGITS, _WORD0, _WORD5))
+_NONFINITE = _words((b"nan", b"inf", b"-inf"))  # word 0 of nan, inf and -inf
+_TABLE = np.concatenate((_DIGITS, _WORD0, _WORD5, _NONFINITE))
 _WORD0_AT, _WORD5_AT = _DIGITS.size, _DIGITS.size + _WORD0.size
+_NONFINITE_AT = _WORD5_AT + _WORD5.size
 
 
 def _scaled(a, k):
@@ -157,9 +159,16 @@ def _fields(values, width: int, fields) -> np.ndarray:
     index[0] = _WORD0_AT + 20 * layout + 2 * lead + np.signbit(values)
     index[5] = _WORD5_AT + (x - _X_MIN)
     index[5].reshape(-1, width)[:, -1] += _EXPONENT.size
+    # the values not certified have S = 0 and X = 0: a non-finite one keeps the mask of
+    # a zero, which leaves word 0's first bytes and the separator, and takes its own word 0
+    uncertain = np.flatnonzero(~certain)
+    finite = np.isfinite(values[uncertain])
+    nonfinite = uncertain[~finite]
+    special = values[nonfinite]
+    index[0, nonfinite] = _NONFINITE_AT + np.where(np.isnan(special), 0, 1 + np.signbit(special))
     fields[...] = _TABLE.take(index).T
     fields &= _MASKS.take(key, axis=0)
-    return np.flatnonzero(~certain)
+    return uncertain[finite]
 
 
 def rows_text(columns) -> str:
@@ -169,7 +178,7 @@ def rows_text(columns) -> str:
     values = np.empty((rows, width))
     for c, col in enumerate(columns):
         exact = (col >= -(2**53)) & (col <= 2**53) if integer[c] else True  # as a float
-        values[:, c] = np.where(exact, col, np.nan)
+        values[:, c] = np.where(exact, col, 1e16)  # 1e16: left to the % operator
     values = values.ravel()
     raw = bytearray(values.size * 48)
     fields = np.frombuffer(raw, "<u8").reshape(values.size, 6)

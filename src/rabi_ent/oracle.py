@@ -25,6 +25,7 @@ TRUNCATION_MARGIN = 20
 DIM_CEILING = 8192  # largest 4 * (n_max + 1) the oracle admits; its truncation re-run may pass it
 # evolution leaves out what moves no amplitude by more than this (see _evolution)
 PRUNE_BOUND = 1e-15
+_TILE = 32  # Fock rows per tile of the evolution product (see _evolution)
 
 # composite spin basis order used throughout: |1,1>, |1,-1>, |1,0>, |0,0>
 _SPIN_INDEX = {
@@ -80,7 +81,7 @@ class EDResult:
     populations when the Fock window [n_lo, n_max] widens by TRUNCATION_MARGIN at both
     ends (n_lo stops at 0); None when the check was skipped.  ``states`` carries the
     evolved vectors over 0..n_max, one column per time, only when ``evolve`` was asked to
-    keep them; rows below n_lo and the entries that evolution skips as out of reach of
+    keep them; rows below n_lo and the rows that evolution skips as out of reach of
     the initial state (see PRUNE_BOUND) are exact zeros.
     """
 
@@ -272,18 +273,31 @@ def _initial_vector(
     return psi0
 
 
-def _kept(weights: np.ndarray) -> np.ndarray:
-    """Ascending indices left once the smallest ``weights`` are dropped while their sum
-    stays <= PRUNE_BOUND."""
-    order = np.argsort(weights, kind="stable")
-    dropped = np.searchsorted(np.cumsum(weights[order]), PRUNE_BOUND, side="right")
-    return np.sort(order[dropped:])
-
-
 def _span(mask: np.ndarray) -> slice:
     """The shortest slice that holds every True entry of ``mask``."""
     hits = np.flatnonzero(mask)
     return slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
+
+
+def _component_span(magnitudes: np.ndarray, bound: float) -> slice:
+    """The shortest slice of columns (eigencomponents, in energy order) of ``magnitudes``
+    outside which every row (one Fock row's |weights|) sums to at most ``bound``;
+    slice(0, 0) when no column is needed."""
+    m = magnitudes.shape[1]
+    head, rest = np.zeros((2, len(magnitudes), m + 1))
+    np.cumsum(magnitudes, axis=1, out=head[:, 1:])  # head[n, k]: row n's sum below k
+    np.cumsum(magnitudes[:, ::-1], axis=1, out=rest[:, 1:])  # rest[n, i]: over its last i
+
+    def first_hi(los):  # per lo, the first hi at which every row's tail fits beside its head
+        return np.maximum(los, m + 1 - (rest[:, None] <= bound - head[:, los, None]).sum(2).min(0))
+
+    top = np.count_nonzero(head.max(axis=0) <= bound) - 1  # the last lo whose head fits
+    hi_0, hi_top = first_hi(np.array([0, top]))
+    # hi never falls as lo grows, so no lo <= top - (hi_top - hi_0) beats top's span
+    los = np.arange(max(top + 1 - max(hi_top - hi_0, 1), 0), top + 1)
+    his = first_hi(los)
+    best = int(np.argmin(his - los))
+    return slice(int(los[best]), int(his[best])) if his[best] > los[best] else slice(0, 0)
 
 
 def _phase_blocks(freqs: np.ndarray, times: np.ndarray) -> Iterator[tuple]:
@@ -334,14 +348,15 @@ def _evolution(
     _PHASE_BLOCK rows at a time, re and im of shape (rows, 4, n_max + 1 - n_lo).
 
     Each parity block is diagonalized on its own, its matrix and eigenvectors freed
-    before the next block's eigh.  Its eigencomponents of least
-    |c| = |<v|psi0>| are left out while their summed |c| stays <= PRUNE_BOUND, and so
-    are its s_n rows, and its |1,0>|m> rows, outside the span of those whose bound
-    sum_j |V_nj| |c_j| over the rest reaches PRUNE_BOUND: no amplitude moves by more
-    than 2 * PRUNE_BOUND.  The rest evolves by two real products per block of times;
-    the |0,0> sector has energies n + k_eff and needs none.  Every block is written
-    into the same two buffers: a block is valid until the next one is drawn.
+    before the next block's eigh.  With c = V^T psi0 and b = PRUNE_BOUND / sqrt(2), its
+    s_n rows, and its |1,0>|m> rows, outside the span of those whose sum_j |V_nj| |c_j|
+    reaches b are left out; each tile of _TILE rows of the rest multiplies only the
+    _component_span of its weights V_nj c_j at b.  A row thus moves by at most b, and
+    |1,+-1>|n>, two blocks' s_n over sqrt(2), by at most PRUNE_BOUND.  The |0,0> sector
+    has energies n + k_eff and needs no product.  Every block is written into the same
+    two buffers: a block is valid until the next one is drawn.
     """
+    bound = PRUNE_BOUND * _SQRT_HALF
     fock_numbers = np.arange(n_lo, n_max + 1)
     n_osc, psi0 = fock_numbers.size, psi0[:, n_lo:]
     singlet_energies = fock_numbers + effective_kappa(params)
@@ -353,20 +368,28 @@ def _evolution(
         psi = np.concatenate([(psi0[0] + signs * psi0[1]) * _SQRT_HALF, psi0[2, first_m::2]])
         evals, evecs = _checked_eigh(*_parity_block(params, n_lo, n_max, parity))
         coeff = evecs.T @ psi
-        kept = _kept(np.abs(coeff))
-        magnitudes = evecs[:, kept]
-        reach = np.abs(magnitudes, out=magnitudes) @ np.abs(coeff[kept]) >= PRUNE_BOUND
+        magnitudes = np.abs(evecs)
+        reach = magnitudes @ np.abs(coeff) >= bound
         del magnitudes  # before weights are drawn, which can then reuse its heap
         fock, ms = _span(reach[:n_osc]), _span(reach[n_osc:])
-        weights = evecs[np.ix_(np.r_[fock, n_osc + ms.start : n_osc + ms.stop], kept)].T
+        weights = evecs[np.r_[fock, n_osc + ms.start : n_osc + ms.stop]]
         del evecs
-        weights *= coeff[kept, None]
+        weights *= coeff
         split = fock.stop - fock.start
+        # the |1,0>|m> rows start tiles of their own: a tile follows one run of Fock numbers
+        ends = ((0, split), (split, len(weights)))
+        rows = [slice(r, min(r + _TILE, end)) for lo, end in ends for r in range(lo, end, _TILE)]
+        spans = [_component_span(np.abs(weights[tile]), bound) for tile in rows]
+        first = min((span.start for span in spans if span.stop), default=0)
+        last = max((span.stop for span in spans), default=0)
+        # phases for the union of the spans only; an empty span stays empty once shifted
+        tiles = [(slice(s.start - first, s.stop - first), tile) for s, tile in zip(spans, rows)]
         m_rows = slice(first_m + 2 * ms.start, first_m + 2 * ms.stop, 2)
-        # with no weights the spans are empty and a block writes nothing
-        parts.append((_phase_blocks(-evals[kept], times), weights, parity, fock, split, m_rows))
+        phases = _phase_blocks(-evals[first:last], times)
+        parts.append((phases, weights[:, first:last], tiles, parity, fock, split, m_rows))
     scale = np.array([np.ones(n_osc), _parity_signs(fock_numbers, 0)]) * _SQRT_HALF
     buffers = np.empty((2, min(times.size, _PHASE_BLOCK), SPIN_DIM, n_osc))
+    product = np.empty((min(times.size, _PHASE_BLOCK), max(len(part[1]) for part in parts)))
 
     def blocks():
         for start in range(0, times.size, _PHASE_BLOCK):
@@ -375,9 +398,13 @@ def _evolution(
             if singlet is not None:
                 _, cos, sin = next(singlet)
                 re[:, 3], im[:, 3] = cos * psi0[3], sin * psi0[3]
-            for phases, weights, parity, fock, split, m_rows in parts:
+            for phases, weights, tiles, parity, fock, split, m_rows in parts:
                 _, cos, sin = next(phases)
-                for out, part in ((re, cos @ weights), (im, sin @ weights)):
+                for out, trig in ((re, cos), (im, sin)):
+                    part = product[: len(trig), : len(weights)]
+                    # an empty span's product has no terms and writes zeros
+                    for span, tile in tiles:
+                        np.matmul(trig[:, span], weights[tile, span].T, out=part[:, tile])
                     # s_n of both blocks combine into |1,1>|n> and, with sign e_n, |1,-1>|n>
                     out[:, 0, fock] += part[:, :split]
                     out[:, 1, fock] += (1 - 2 * parity) * part[:, :split]
@@ -410,10 +437,11 @@ def evolve(
     number state instead.  Evolution is by spectral decomposition, exact up to the Fock
     window [n_lo, n_max] (see _window_start), whose effect is measured by re-running with
     n_max + 20, and so n_lo - 20, unless ``compute_truncation_error`` is off, and up to the
-    eigencomponents and rows left out as below PRUNE_BOUND, which move no
-    amplitude by more than 2 * PRUNE_BOUND.  Each block of _PHASE_BLOCK times is reduced
-    before the next is evolved: per time, only the populations, one 4x4 density matrix
-    and, with ``keep_states``, the state are held.  The initial state is checked at
+    rows, and the ends of each tile of rows' eigencomponents, left out as below
+    PRUNE_BOUND, which move no amplitude by more than PRUNE_BOUND (see _evolution).
+    Each block of _PHASE_BLOCK times is reduced before the next is evolved: per time,
+    only the populations, one 4x4 density matrix and, with ``keep_states``, the state
+    are held.  The initial state is checked at
     n_max before any eigh; the re-run, whose parity blocks are the larger, then goes
     first, so that the peak memory is one eigh of its larger block.
     """

@@ -321,10 +321,12 @@ def test_readme_per_value_classes_match_the_writer():
     # the README's *Command line* lists what the writer leaves to the % operator
     from rabi_ent import _csvtext
 
+    prose = readme_prose()
+    assert "`nan` and `±inf` take fixed fields of their own" in prose
     guard, tie, top, bottom, integer = re.search(
         r"a value within (\S+) of a rounding tie \(such as `(\S+)`\), \|x\| >= (\S+) or "
-        r"0 < \|x\| < (\S+), `nan` and `±inf`, and an integer beyond (\S+)\.",
-        readme_prose(),
+        r"0 < \|x\| < (\S+), and an integer beyond (\S+)\.",
+        prose,
     ).groups()
     assert _csvtext._TIE_GUARD == float(guard)
     tie, integer = (2 ** int(text.removeprefix("2**")) for text in (tie, integer))
@@ -332,7 +334,7 @@ def test_readme_per_value_classes_match_the_writer():
     edges += [np.nextafter(float(bottom), 0.0), np.nan, np.inf, -np.inf, 0.1, -0.0]
     values = np.array(edges)
     per_value = _csvtext._fields(values, 1, np.empty((values.size, 6), np.uint64))
-    assert per_value.tolist() == [0, 1, 4, 5, 6, 7]
+    assert per_value.tolist() == [0, 1, 4]
     beyond = integer + 1  # a float would round it to 2**53
     text = "".join(_csv_pieces(("N",), (np.array([beyond, -beyond]),)))
     assert text == f"N\n{beyond}\n{-beyond}\n"
@@ -1058,13 +1060,41 @@ def test_readme_time_point_cap_matches_the_schema():
 
 
 def test_readme_oracle_pruning_figures_match_the_bound():
-    # the README's *Oracle pruning*: the bound, what each dropped part moves, and the sum
+    # the README's *Oracle pruning*: the bound, each row's share of it, and the sum
     prose = readme_prose()
     bound = re.search(r"`oracle.PRUNE_BOUND = ([\d.e-]+)`", prose).group(1)
-    each = re.search(r"Each dropped part moves an amplitude by at most `([\d.e-]+)`", prose)
     total = re.search(r"no amplitude moves by more than `([\d.e-]+)`", prose).group(1)
-    assert float(bound) == float(each.group(1)) == oracle.PRUNE_BOUND
-    assert float(total) == 2 * oracle.PRUNE_BOUND
+    assert "`b = PRUNE_BOUND / sqrt(2)`" in prose and "tiles of 32" in prose
+    assert float(bound) == float(total) == oracle.PRUNE_BOUND
+    assert oracle._TILE == 32
+
+
+def test_readme_oracle_tile_share_matches_fig4(monkeypatch):
+    # the README's *Oracle pruning*: the tiles' multiply-adds at --fig 4 against the
+    # product over every eigencomponent of the same rows, in the run and the re-run
+    run_share, rerun_share = re.search(
+        r"At `--fig 4` the tiles do (\d+)% of the multiply-adds .*? \((\d+)% in the truncation "
+        r"re-run\)",
+        readme_prose(),
+    ).groups()
+    tiles, span = [], oracle._component_span
+
+    def recorded(magnitudes, bound):
+        tiles.append((magnitudes.shape, span(magnitudes, bound)))
+        return tiles[-1][1]
+
+    monkeypatch.setattr(oracle, "_component_span", recorded)
+    fig4 = load_preset(4, 1)
+    params = params_from_config(fig4)
+    n_max = section(fig4, "ed")["n_max"]
+    for n_max, share in ((n_max, run_share), (n_max + oracle.TRUNCATION_MARGIN, rerun_share)):
+        tiles.clear()
+        psi0 = oracle._initial_vector(params, n_max, section(fig4, "ed")["initial_spin"], None)
+        n_lo = oracle._window_start(params, n_max, None)
+        oracle._evolution(params, n_lo, n_max, np.zeros(1), psi0)  # draws every tile's span
+        tiled = sum(rows * (s.stop - s.start) for (rows, _), s in tiles)
+        dense = sum(rows * components for (rows, components), _ in tiles)
+        assert round(100 * tiled / dense) == int(share), n_max
 
 
 def test_readme_package_layout_names_every_module():

@@ -671,12 +671,82 @@ def test_pruned_evolution_matches_unpruned_dense_evolution(spin, initial_fock, m
     expected = [_wootters(r / np.trace(r).real) for r in rho @ COMPOSITE_IN_PRODUCT.T]
     assert np.abs(result.concurrence - expected).max() <= 1e-12
     # against the same evolution with nothing left out, the skipped entries are
-    # exact zeros and no amplitude moves by more than 2 * PRUNE_BOUND
+    # exact zeros and no amplitude moves by more than PRUNE_BOUND
     monkeypatch.setattr(oracle, "PRUNE_BOUND", 0.0)
     unpruned = run().states
     if spin is not SpinState.J0M0:  # the |0,0> sector is evolved whole, by its phases alone
         assert np.count_nonzero(result.states == 0.0) > np.count_nonzero(unpruned == 0.0)
-    assert np.abs(result.states - unpruned).max() <= 2 * PRUNE_BOUND
+    assert np.abs(result.states - unpruned).max() <= PRUNE_BOUND
+
+
+def _dropped(magnitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Per row, the sum of ``magnitudes`` outside columns [lo, hi)."""
+    return magnitudes[:, :lo].sum(axis=1) + magnitudes[:, hi:].sum(axis=1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_component_span_is_the_shortest_that_drops_at_most_the_bound(seed):
+    rng = np.random.default_rng(seed)
+    rows, m = 7, 60
+    scattered = rng.random((rows, m)) * 10.0 ** rng.uniform(-40.0, 0.0, (rows, m))
+    center = rng.uniform(10.0, 50.0) + rng.uniform(-3.0, 3.0, (rows, 1))
+    banded = np.exp(-0.5 * (np.arange(m) - center) ** 2) * rng.random((rows, m))
+    # ends whose masses are comparable to the bound, so that head and tail trade off
+    ends = np.where(np.abs(np.arange(m) - 30) < 12, 1.0, 2e-7 * rng.random((rows, m)))
+    for magnitudes in (scattered, banded, ends):
+        for bound in (0.0, PRUNE_BOUND, 1e-6):
+            span = oracle._component_span(magnitudes, bound)
+            assert _dropped(magnitudes, span.start, span.stop).max() <= bound * (1 + 1e-12)
+            # a span one shorter, anywhere, drops more from some row (and so does any shorter)
+            length = span.stop - span.start
+            for lo in range(m - length + 2 if length else 0):
+                shorter = _dropped(magnitudes, lo, lo + length - 1)
+                assert shorter.max() > bound * (1 - 1e-12), (bound, span, lo)
+    # rows that sum to at most the bound need no column at all
+    assert oracle._component_span(1e-20 * banded, PRUNE_BOUND) == slice(0, 0)
+    assert oracle._component_span(np.zeros((rows, m)), 0.0) == slice(0, 0)
+
+
+def test_empty_spans_write_zeros_into_the_shared_product(monkeypatch):
+    # the odd block's spans forced empty: its rows must read zero, not the even block's
+    # products that the shared product buffer still holds
+    built = []
+    eigh, span = oracle._checked_eigh, oracle._component_span
+    monkeypatch.setattr(oracle, "_checked_eigh", lambda *args: built.append(0) or eigh(*args))
+    monkeypatch.setattr(
+        oracle, "_component_span", lambda m, b: span(m, b) if len(built) % 2 else slice(0, 0)
+    )
+    n_max = 60
+    times = np.linspace(0.0, 40.0, 301)
+    result = evolve(PRUNE_PARAMS, n_max, times, compute_truncation_error=False, keep_states=True)
+    states = result.states.reshape(4, n_max + 1, times.size)
+    assert len(built) == 2 and oracle._window_start(PRUNE_PARAMS, n_max, None) == 0
+    assert np.all(states[2, 1::2] == 0.0) and np.all(states[2, 0::2].any(axis=1)[:20])
+    # with no odd s_n, |1,-1>|n> is the even block's e_n = (-1)^n times |1,1>|n>
+    signs = (-1.0) ** np.arange(n_max + 1)
+    assert np.array_equal(states[1], signs[:, None] * states[0])
+    assert np.abs(states[0]).max() > 0.1
+
+
+def test_tile_spans_cut_the_product_and_keep_the_bound(monkeypatch):
+    # alpha_sq = 64 at a cutoff well past its required 145: each tile of Fock rows
+    # reaches a band of eigencomponents, not the whole block
+    params = replace(PRUNE_PARAMS, alpha_sq=64.0)
+    n_max, times = 200, np.linspace(0.0, 40.0, 301)
+    tiles, span = [], oracle._component_span
+
+    def recorded(magnitudes, bound):
+        tiles.append((magnitudes.shape, span(magnitudes, bound)))
+        return tiles[-1][1]
+
+    monkeypatch.setattr(oracle, "_component_span", recorded)
+    result = evolve(params, n_max, times, compute_truncation_error=False, keep_states=True)
+    tiled = sum(rows * (s.stop - s.start) for (rows, _), s in tiles)
+    dense = sum(rows * components for (rows, components), _ in tiles)
+    assert tiled < 0.5 * dense
+    monkeypatch.setattr(oracle, "PRUNE_BOUND", 0.0)
+    unpruned = evolve(params, n_max, times, compute_truncation_error=False, keep_states=True)
+    assert np.abs(result.states - unpruned.states).max() <= PRUNE_BOUND
 
 
 # --- the Fock window ------------------------------------------------------------
