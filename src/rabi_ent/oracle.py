@@ -284,9 +284,14 @@ def _component_span(magnitudes: np.ndarray, bound: float) -> slice:
     outside which every row (one Fock row's |weights|) sums to at most ``bound``;
     slice(0, 0) when no column is needed."""
     m = magnitudes.shape[1]
-    head, rest = np.zeros((2, len(magnitudes), m + 1))
-    np.cumsum(magnitudes, axis=1, out=head[:, 1:])  # head[n, k]: row n's sum below k
-    np.cumsum(magnitudes[:, ::-1], axis=1, out=rest[:, 1:])  # rest[n, i]: over its last i
+    # a head or tail that fits holds no column above the bound, so lo is at most the
+    # first such column and hi is past the last
+    big = np.flatnonzero(magnitudes.max(axis=0) > bound)
+    lo_max, hi_min = (big[0], big[-1] + 1) if big.size else (m, 0)
+    head = np.zeros((len(magnitudes), lo_max + 1))
+    rest = np.zeros((len(magnitudes), m - hi_min + 1))
+    np.cumsum(magnitudes[:, :lo_max], axis=1, out=head[:, 1:])  # head[n, k]: row n's sum below k
+    np.cumsum(magnitudes[:, hi_min:][:, ::-1], axis=1, out=rest[:, 1:])  # rest[n, i]: last i
 
     def first_hi(los):  # per lo, the first hi at which every row's tail fits beside its head
         return np.maximum(los, m + 1 - (rest[:, None] <= bound - head[:, los, None]).sum(2).min(0))
@@ -295,7 +300,7 @@ def _component_span(magnitudes: np.ndarray, bound: float) -> slice:
     hi_0, hi_top = first_hi(np.array([0, top]))
     # hi never falls as lo grows, so no lo <= top - (hi_top - hi_0) beats top's span
     los = np.arange(max(top + 1 - max(hi_top - hi_0, 1), 0), top + 1)
-    his = first_hi(los)
+    his = first_hi(los) if los.size > 1 else np.array([hi_top])
     best = int(np.argmin(his - los))
     return slice(int(los[best]), int(his[best])) if his[best] > los[best] else slice(0, 0)
 
@@ -382,14 +387,19 @@ def _evolution(
         spans = [_component_span(np.abs(weights[tile]), bound) for tile in rows]
         first = min((span.start for span in spans if span.stop), default=0)
         last = max((span.stop for span in spans), default=0)
-        # phases for the union of the spans only; an empty span stays empty once shifted
-        tiles = [(slice(s.start - first, s.stop - first), tile) for s, tile in zip(spans, rows)]
+        # phases for the union of the spans only; an empty span stays empty once shifted.
+        # Each tile's weights are copied out transposed, which BLAS runs faster than a view.
+        tiles = [
+            (slice(s.start - first, s.stop - first), tile, weights[tile, s].T.copy())
+            for s, tile in zip(spans, rows)
+        ]
+        del weights
         m_rows = slice(first_m + 2 * ms.start, first_m + 2 * ms.stop, 2)
         phases = _phase_blocks(-evals[first:last], times)
-        parts.append((phases, weights[:, first:last], tiles, parity, fock, split, m_rows))
+        parts.append((phases, split + ms.stop - ms.start, tiles, parity, fock, split, m_rows))
     scale = np.array([np.ones(n_osc), _parity_signs(fock_numbers, 0)]) * _SQRT_HALF
     buffers = np.empty((2, min(times.size, _PHASE_BLOCK), SPIN_DIM, n_osc))
-    product = np.empty((min(times.size, _PHASE_BLOCK), max(len(part[1]) for part in parts)))
+    product = np.empty((min(times.size, _PHASE_BLOCK), max(part[1] for part in parts)))
 
     def blocks():
         for start in range(0, times.size, _PHASE_BLOCK):
@@ -398,13 +408,13 @@ def _evolution(
             if singlet is not None:
                 _, cos, sin = next(singlet)
                 re[:, 3], im[:, 3] = cos * psi0[3], sin * psi0[3]
-            for phases, weights, tiles, parity, fock, split, m_rows in parts:
+            for phases, width, tiles, parity, fock, split, m_rows in parts:
                 _, cos, sin = next(phases)
                 for out, trig in ((re, cos), (im, sin)):
-                    part = product[: len(trig), : len(weights)]
+                    part = product[: len(trig), :width]
                     # an empty span's product has no terms and writes zeros
-                    for span, tile in tiles:
-                        np.matmul(trig[:, span], weights[tile, span].T, out=part[:, tile])
+                    for span, tile, weights in tiles:
+                        np.matmul(trig[:, span], weights, out=part[:, tile])
                     # s_n of both blocks combine into |1,1>|n> and, with sign e_n, |1,-1>|n>
                     out[:, 0, fock] += part[:, :split]
                     out[:, 1, fock] += (1 - 2 * parity) * part[:, :split]
