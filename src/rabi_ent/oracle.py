@@ -81,8 +81,8 @@ class EDResult:
     populations when the Fock window [n_lo, n_max] widens by TRUNCATION_MARGIN at both
     ends (n_lo stops at 0); None when the check was skipped.  ``states`` carries the
     evolved vectors over 0..n_max, one column per time, only when ``evolve`` was asked to
-    keep them; rows below n_lo and the rows that evolution skips as out of reach of
-    the initial state (see PRUNE_BOUND) are exact zeros.
+    keep them; rows below n_lo and the tiles of rows that evolution leaves out as out of
+    reach of the initial state (see PRUNE_BOUND) are exact zeros.
     """
 
     populations: dict[str, np.ndarray]
@@ -273,12 +273,6 @@ def _initial_vector(
     return psi0
 
 
-def _span(mask: np.ndarray) -> slice:
-    """The shortest slice that holds every True entry of ``mask``."""
-    hits = np.flatnonzero(mask)
-    return slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
-
-
 def _component_span(magnitudes: np.ndarray, bound: float) -> slice:
     """The shortest slice of columns (eigencomponents, in energy order) of ``magnitudes``
     outside which every row (one Fock row's |weights|) sums to at most ``bound``;
@@ -287,6 +281,8 @@ def _component_span(magnitudes: np.ndarray, bound: float) -> slice:
     # a head or tail that fits holds no column above the bound, so lo is at most the
     # first such column and hi is past the last
     big = np.flatnonzero(magnitudes.max(axis=0) > bound)
+    if not big.size and magnitudes.sum(axis=1).max() <= bound:
+        return slice(0, 0)  # every row fits whole: no search over m x m ends
     lo_max, hi_min = (big[0], big[-1] + 1) if big.size else (m, 0)
     head = np.zeros((len(magnitudes), lo_max + 1))
     rest = np.zeros((len(magnitudes), m - hi_min + 1))
@@ -353,13 +349,13 @@ def _evolution(
     _PHASE_BLOCK rows at a time, re and im of shape (rows, 4, n_max + 1 - n_lo).
 
     Each parity block is diagonalized on its own, its matrix and eigenvectors freed
-    before the next block's eigh.  With c = V^T psi0 and b = PRUNE_BOUND / sqrt(2), its
-    s_n rows, and its |1,0>|m> rows, outside the span of those whose sum_j |V_nj| |c_j|
-    reaches b are left out; each tile of _TILE rows of the rest multiplies only the
-    _component_span of its weights V_nj c_j at b.  A row thus moves by at most b, and
-    |1,+-1>|n>, two blocks' s_n over sqrt(2), by at most PRUNE_BOUND.  The |0,0> sector
-    has energies n + k_eff and needs no product.  Every block is written into the same
-    two buffers: a block is valid until the next one is drawn.
+    before the next block's eigh.  With c = V^T psi0 and b = PRUNE_BOUND / sqrt(2), each
+    tile of _TILE of its s_n rows, or of its |1,0>|m> rows, multiplies only the
+    _component_span of its weights V_nj c_j at b, and a tile whose rows each sum to at
+    most b writes zeros.  A row thus moves by at most b, and |1,+-1>|n>, two blocks' s_n
+    over sqrt(2), by at most PRUNE_BOUND.  The |0,0> sector has energies n + k_eff and
+    needs no product.  Every block is written into the same two buffers: a block is
+    valid until the next one is drawn.
     """
     bound = PRUNE_BOUND * _SQRT_HALF
     fock_numbers = np.arange(n_lo, n_max + 1)
@@ -371,18 +367,10 @@ def _evolution(
         first_m = (parity - n_lo) % 2  # window row of the block's first |1,0>|m>
         signs = _parity_signs(fock_numbers, parity)
         psi = np.concatenate([(psi0[0] + signs * psi0[1]) * _SQRT_HALF, psi0[2, first_m::2]])
-        evals, evecs = _checked_eigh(*_parity_block(params, n_lo, n_max, parity))
-        coeff = evecs.T @ psi
-        magnitudes = np.abs(evecs)
-        reach = magnitudes @ np.abs(coeff) >= bound
-        del magnitudes  # before weights are drawn, which can then reuse its heap
-        fock, ms = _span(reach[:n_osc]), _span(reach[n_osc:])
-        weights = evecs[np.r_[fock, n_osc + ms.start : n_osc + ms.stop]]
-        del evecs
-        weights *= coeff
-        split = fock.stop - fock.start
+        evals, weights = _checked_eigh(*_parity_block(params, n_lo, n_max, parity))
+        weights *= weights.T @ psi  # V_nj c_j, c = V^T psi
         # the |1,0>|m> rows start tiles of their own: a tile follows one run of Fock numbers
-        ends = ((0, split), (split, len(weights)))
+        ends = ((0, n_osc), (n_osc, len(weights)))
         rows = [slice(r, min(r + _TILE, end)) for lo, end in ends for r in range(lo, end, _TILE)]
         spans = [_component_span(np.abs(weights[tile]), bound) for tile in rows]
         first = min((span.start for span in spans if span.stop), default=0)
@@ -393,34 +381,32 @@ def _evolution(
             (slice(s.start - first, s.stop - first), tile, weights[tile, s].T.copy())
             for s, tile in zip(spans, rows)
         ]
+        product = np.empty((min(times.size, _PHASE_BLOCK), len(weights)))
         del weights
-        m_rows = slice(first_m + 2 * ms.start, first_m + 2 * ms.stop, 2)
-        phases = _phase_blocks(-evals[first:last], times)
-        parts.append((phases, split + ms.stop - ms.start, tiles, parity, fock, split, m_rows))
-    scale = np.array([np.ones(n_osc), _parity_signs(fock_numbers, 0)]) * _SQRT_HALF
-    buffers = np.empty((2, min(times.size, _PHASE_BLOCK), SPIN_DIM, n_osc))
-    product = np.empty((min(times.size, _PHASE_BLOCK), max(part[1] for part in parts)))
+        parts.append((_phase_blocks(-evals[first:last], times), tiles, first_m, product))
+    scale = _parity_signs(fock_numbers, 0) * _SQRT_HALF  # e_n / sqrt(2) of the even block
+    buffers = np.zeros((2, min(times.size, _PHASE_BLOCK), SPIN_DIM, n_osc))
 
     def blocks():
         for start in range(0, times.size, _PHASE_BLOCK):
             re, im = buffers[:, : min(_PHASE_BLOCK, times.size - start)]
-            re[:], im[:] = 0.0, 0.0
             if singlet is not None:
                 _, cos, sin = next(singlet)
                 re[:, 3], im[:, 3] = cos * psi0[3], sin * psi0[3]
-            for phases, width, tiles, parity, fock, split, m_rows in parts:
-                _, cos, sin = next(phases)
-                for out, trig in ((re, cos), (im, sin)):
-                    part = product[: len(trig), :width]
+            drawn = [next(phases)[1:] for phases, *_ in parts]
+            for k, out in enumerate((re, im)):
+                for (_, tiles, first_m, product), trig in zip(parts, drawn):
+                    part = product[: len(out)]
                     # an empty span's product has no terms and writes zeros
                     for span, tile, weights in tiles:
-                        np.matmul(trig[:, span], weights, out=part[:, tile])
-                    # s_n of both blocks combine into |1,1>|n> and, with sign e_n, |1,-1>|n>
-                    out[:, 0, fock] += part[:, :split]
-                    out[:, 1, fock] += (1 - 2 * parity) * part[:, :split]
-                    out[:, 2, m_rows] = part[:, split:]
-            re[:, :2] *= scale
-            im[:, :2] *= scale
+                        np.matmul(trig[k][:, span], weights, out=part[:, tile])
+                    out[:, 2, first_m::2] = part[:, n_osc:]
+                even, odd = (product[: len(out), :n_osc] for *_, product in parts)
+                # s_n of both blocks combine into |1,1>|n> and, with sign e_n, |1,-1>|n>
+                np.add(even, odd, out=out[:, 0])
+                np.subtract(even, odd, out=out[:, 1])
+                out[:, 0] *= _SQRT_HALF
+                out[:, 1] *= scale
             yield start, re, im
 
     return blocks()
@@ -447,8 +433,8 @@ def evolve(
     number state instead.  Evolution is by spectral decomposition, exact up to the Fock
     window [n_lo, n_max] (see _window_start), whose effect is measured by re-running with
     n_max + 20, and so n_lo - 20, unless ``compute_truncation_error`` is off, and up to the
-    rows, and the ends of each tile of rows' eigencomponents, left out as below
-    PRUNE_BOUND, which move no amplitude by more than PRUNE_BOUND (see _evolution).
+    ends of each tile of rows' eigencomponents left out as below PRUNE_BOUND, which move
+    no amplitude by more than PRUNE_BOUND (see _evolution).
     Each block of _PHASE_BLOCK times is reduced before the next is evolved: per time,
     only the populations, one 4x4 density matrix and, with ``keep_states``, the state
     are held.  The initial state is checked at

@@ -645,7 +645,7 @@ PRUNE_PARAMS = ModelParams(ratio_r=0.2, beta=0.4717, kappa0=-0.7, alpha_sq=9.0)
 def test_pruned_evolution_matches_unpruned_dense_evolution(spin, initial_fock, monkeypatch):
     from rabi_ent import oracle
 
-    n_max = 80
+    n_max = 100  # far enough past 41 that whole tiles of rows are out of reach
     n_osc = n_max + 1
     times = np.linspace(0.0, 40.0, 301)
 
@@ -670,8 +670,8 @@ def test_pruned_evolution_matches_unpruned_dense_evolution(spin, initial_fock, m
     rho = COMPOSITE_IN_PRODUCT @ np.einsum("knt,lnt->tkl", sectors, sectors.conj())
     expected = [_wootters(r / np.trace(r).real) for r in rho @ COMPOSITE_IN_PRODUCT.T]
     assert np.abs(result.concurrence - expected).max() <= 1e-12
-    # against the same evolution with nothing left out, the skipped entries are
-    # exact zeros and no amplitude moves by more than PRUNE_BOUND
+    # against the same evolution with nothing left out, the tiles with an empty span
+    # leave exact zeros and no amplitude moves by more than PRUNE_BOUND
     monkeypatch.setattr(oracle, "PRUNE_BOUND", 0.0)
     unpruned = run().states
     if spin is not SpinState.J0M0:  # the |0,0> sector is evolved whole, by its phases alone
@@ -705,11 +705,20 @@ def test_component_span_is_the_shortest_that_drops_at_most_the_bound(seed):
     # rows that sum to at most the bound need no column at all
     assert oracle._component_span(1e-20 * banded, PRUNE_BOUND) == slice(0, 0)
     assert oracle._component_span(np.zeros((rows, m)), 0.0) == slice(0, 0)
+    # and are found without the search, whose m x m candidate ends would be 80x the tile
+    tile = 1e-20 * rng.random((32, 600))
+    tracemalloc.start()
+    try:
+        assert oracle._component_span(tile, PRUNE_BOUND) == slice(0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tile.nbytes
 
 
 def test_empty_spans_write_zeros_into_the_shared_product(monkeypatch):
-    # the odd block's spans forced empty: its rows must read zero, not the even block's
-    # products that the shared product buffer still holds
+    # the odd block's spans forced empty: its rows must read zero, written by the empty
+    # products into its product buffer, which is reused for re and im and every block of times
     built = []
     eigh, span = oracle._checked_eigh, oracle._component_span
     monkeypatch.setattr(oracle, "_checked_eigh", lambda *args: built.append(0) or eigh(*args))
