@@ -274,31 +274,18 @@ def _initial_vector(
 
 
 def _component_span(magnitudes: np.ndarray, bound: float) -> slice:
-    """The shortest slice of columns (eigencomponents, in energy order) of ``magnitudes``
-    outside which every row (one Fock row's |weights|) sums to at most ``bound``;
-    slice(0, 0) when no column is needed."""
-    m = magnitudes.shape[1]
-    # a head or tail that fits holds no column above the bound, so lo is at most the
-    # first such column and hi is past the last
-    big = np.flatnonzero(magnitudes.max(axis=0) > bound)
-    if not big.size and magnitudes.sum(axis=1).max() <= bound:
-        return slice(0, 0)  # every row fits whole: no search over m x m ends
-    lo_max, hi_min = (big[0], big[-1] + 1) if big.size else (m, 0)
-    head = np.zeros((len(magnitudes), lo_max + 1))
-    rest = np.zeros((len(magnitudes), m - hi_min + 1))
-    np.cumsum(magnitudes[:, :lo_max], axis=1, out=head[:, 1:])  # head[n, k]: row n's sum below k
-    np.cumsum(magnitudes[:, hi_min:][:, ::-1], axis=1, out=rest[:, 1:])  # rest[n, i]: last i
-
-    def first_hi(los):  # per lo, the first hi at which every row's tail fits beside its head
-        return np.maximum(los, m + 1 - (rest[:, None] <= bound - head[:, los, None]).sum(2).min(0))
-
-    top = np.count_nonzero(head.max(axis=0) <= bound) - 1  # the last lo whose head fits
-    hi_0, hi_top = first_hi(np.array([0, top]))
-    # hi never falls as lo grows, so no lo <= top - (hi_top - hi_0) beats top's span
-    los = np.arange(max(top + 1 - max(hi_top - hi_0, 1), 0), top + 1)
-    his = first_hi(los) if los.size > 1 else np.array([hi_top])
-    best = int(np.argmin(his - los))
-    return slice(int(los[best]), int(his[best])) if his[best] > los[best] else slice(0, 0)
+    """Columns (eigencomponents, in energy order) of ``magnitudes`` left after dropping the
+    longest head that keeps every row (one Fock row's |weights|) within ``bound``, then the
+    longest tail that fits beside each row's head; slice(0, 0) if every row fits whole."""
+    if magnitudes.sum(axis=1).max() <= bound:  # before any cumulative sum, as large as the tile
+        return slice(0, 0)
+    head = np.cumsum(magnitudes, axis=1)
+    lo = np.count_nonzero(head.max(axis=0) <= bound)
+    room = bound - head[:, lo - 1] if lo else np.full(len(magnitudes), bound)
+    tail = np.cumsum(magnitudes[:, lo:][:, ::-1], axis=1)
+    hi = magnitudes.shape[1] - np.count_nonzero((tail <= room[:, None]).all(axis=0))
+    # row sums and cumulative sums round apart, so a tile just over the bound may fit whole
+    return slice(lo, hi) if hi > lo else slice(0, 0)
 
 
 def _phase_blocks(freqs: np.ndarray, times: np.ndarray) -> Iterator[tuple]:
@@ -350,8 +337,9 @@ def _evolution(
 
     Each parity block is diagonalized on its own, its matrix and eigenvectors freed
     before the next block's eigh.  With c = V^T psi0 and b = PRUNE_BOUND / sqrt(2), each
-    tile of _TILE of its s_n rows, or of its |1,0>|m> rows, multiplies only the
-    _component_span of its weights V_nj c_j at b, and a tile whose rows each sum to at
+    tile of _TILE of its s_n rows, or of its |1,0>|m> rows, drops from its weights
+    V_nj c_j the longest head of eigencomponents that keeps every row within b, then the
+    longest tail that fits beside it (_component_span); a tile whose rows each sum to at
     most b writes zeros.  A row thus moves by at most b, and |1,+-1>|n>, two blocks' s_n
     over sqrt(2), by at most PRUNE_BOUND.  The |0,0> sector has energies n + k_eff and
     needs no product.  Every block is written into the same two buffers: a block is

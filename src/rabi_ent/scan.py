@@ -206,8 +206,8 @@ def refine(
     """
     if not start_point:
         raise DomainError("start_point must name at least one parameter")
-    if not _is_integer(max_iters):
-        raise DomainError(f"max_iters must be an integer, got {max_iters!r}")
+    if not (_is_integer(max_iters) and max_iters >= 0):
+        raise DomainError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     if not (_is_real(ftol) and ftol >= 0.0):
         raise DomainError(f"ftol must be a real number >= 0, got {ftol!r}")
     names = tuple(n for n in SWEEPABLE if n in start_point)

@@ -848,6 +848,7 @@ _REJECTIONS = [
     _case("jc", "jc.g", 0.0, 3, "g"),
     _case("scan", "scan.refine.step_scales.beta", 0.0, 3, "step_scales"),
     _case("scan", "scan.refine.ftol", -1.0, 3, "ftol"),
+    _case("scan", "scan.refine.max_iters", -3, 3, "max_iters must be an integer >= 0"),
     # past oracle.DIM_CEILING (dim 8196) and scan.GRID_CEILING, before any allocation
     _case("oracle", "ed.n_max", 2048, 4, "dimension 8196 exceeds the ceiling 8192"),
     _case("scan", "scan.ranges.beta.steps", 20001, 4, "grid has 20001 points"),
@@ -1135,6 +1136,33 @@ def test_readme_kappa_convention_figures_match_a_fresh_run():
     result = evolve(scaled, section(fig4, "ed")["n_max"], times, compute_truncation_error=False)
     assert shown_as(result.populations["P11"].max(), p11)
     assert shown_as(result.concurrence.min(), min_c)
+
+
+def test_readme_desk_kappa_inversion_matches_a_fresh_run():
+    # the README's *Kappa conventions*: at desk scale under omega_scaled, the closed form's
+    # max 2T falls from kappa0 = -0.5 to -0.7 while the oracle's max P11 rises
+    prose = readme_prose()
+    found = re.findall(
+        r"`kappa0 = (-[\d.]*\d)` gives max `2T` = ([\d.]*\d) and max `P11` = ([\d.]*\d)", prose
+    )
+    assert [kappa0 for kappa0, *_ in found] == ["-0.5", "-0.7"]
+    assert "with a `truncation_error` below 1e-9" in prose
+    desk = load_config(README.parent / "configs" / "fig4_desk_oracle.json")
+    times = times_from_config(desk)
+    peaks = []
+    for kappa0, peak_2t, p11 in found:
+        params = dataclasses.replace(
+            params_from_config(desk),
+            kappa0=float(kappa0),
+            kappa_convention=KappaConvention.OMEGA_SCALED,
+        )
+        result = evolve(params, oracle.required_n_max(params.alpha_sq), times)
+        peaks.append((2.0 * transition_prob(params, times).max(), result.populations["P11"].max()))
+        assert shown_as(peaks[-1][0], peak_2t) and shown_as(peaks[-1][1], p11)
+        assert result.truncation_error <= 1e-9
+    (t_half, p11_half), (t_deep, p11_deep) = peaks
+    # measured: 2T falls 0.0256 -> 0.0165 while P11 rises 0.0765 -> 0.2291
+    assert t_deep < 0.8 * t_half and p11_deep > 2.0 * p11_half
 
 
 def test_readme_oracle_memory_follows_the_rerun_parity_block():

@@ -685,7 +685,7 @@ def _dropped(magnitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_component_span_is_the_shortest_that_drops_at_most_the_bound(seed):
+def test_component_span_drops_the_longest_head_then_tail_within_the_bound(seed):
     rng = np.random.default_rng(seed)
     rows, m = 7, 60
     scattered = rng.random((rows, m)) * 10.0 ** rng.uniform(-40.0, 0.0, (rows, m))
@@ -696,16 +696,15 @@ def test_component_span_is_the_shortest_that_drops_at_most_the_bound(seed):
     for magnitudes in (scattered, banded, ends):
         for bound in (0.0, PRUNE_BOUND, 1e-6):
             span = oracle._component_span(magnitudes, bound)
-            assert _dropped(magnitudes, span.start, span.stop).max() <= bound * (1 + 1e-12)
-            # a span one shorter, anywhere, drops more from some row (and so does any shorter)
-            length = span.stop - span.start
-            for lo in range(m - length + 2 if length else 0):
-                shorter = _dropped(magnitudes, lo, lo + length - 1)
-                assert shorter.max() > bound * (1 - 1e-12), (bound, span, lo)
+            lo, hi = span.start, span.stop
+            assert _dropped(magnitudes, lo, hi).max() <= bound * (1 + 1e-12)
+            # one more head column, or one more tail column beside the head, drops too much
+            assert magnitudes[:, : lo + 1].sum(axis=1).max() > bound * (1 - 1e-12), (bound, span)
+            assert _dropped(magnitudes, lo, hi - 1).max() > bound * (1 - 1e-12), (bound, span)
     # rows that sum to at most the bound need no column at all
     assert oracle._component_span(1e-20 * banded, PRUNE_BOUND) == slice(0, 0)
     assert oracle._component_span(np.zeros((rows, m)), 0.0) == slice(0, 0)
-    # and are found without the search, whose m x m candidate ends would be 80x the tile
+    # and are found before any cumulative sum, each as large as the tile
     tile = 1e-20 * rng.random((32, 600))
     tracemalloc.start()
     try:
@@ -714,6 +713,11 @@ def test_component_span_is_the_shortest_that_drops_at_most_the_bound(seed):
     finally:
         tracemalloc.stop()
     assert peak < tile.nbytes
+    # rows whose sums exceed the bound by rounding alone, which their cumulative sums,
+    # added in another order, do not, need no column either
+    tenths = np.full((rows, 10), 0.1)
+    assert tenths.sum(axis=1).max() > np.cumsum(tenths, axis=1)[:, -1].max()
+    assert oracle._component_span(tenths, np.cumsum(tenths, axis=1)[0, -1]) == slice(0, 0)
 
 
 def test_empty_spans_write_zeros_into_the_shared_product(monkeypatch):

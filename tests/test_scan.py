@@ -234,6 +234,15 @@ def test_refine_rejects_malformed_input(start, scales, source, message):
         refine(start, scales, **{source: sources[source]})
 
 
+@pytest.mark.parametrize("max_iters", [-1, -3])
+def test_refine_rejects_a_negative_max_iters(max_iters):
+    with pytest.raises(DomainError, match=f"max_iters must be an integer >= 0, got {max_iters}"):
+        refine({"beta": 0.5}, {"beta": 0.1}, max_iters=max_iters, objective_fn=lambda point: 0.0)
+    # zero iterations is a refinement that stops at its start
+    result = refine({"beta": 0.5}, {"beta": 0.1}, max_iters=0, objective_fn=lambda point: 0.0)
+    assert result.metadata == {"iterations": 0, "converged": False}
+
+
 def test_refine_keeps_a_nan_objective_out_of_the_trace():
     seen = []
 
