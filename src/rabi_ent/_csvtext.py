@@ -1,5 +1,6 @@
-"""CSV rows of numeric columns as numpy builds them, byte for byte the text of
-``"%.17g" % value`` for a float and ``"%d" % value`` for an integer.
+"""The CSV text of numeric columns as numpy builds it, byte for byte the text of
+``"%.17g" % value`` for a float and ``"%d" % value`` for an integer.  ``csv_pieces``
+yields the header line and then the rows, one piece per _BLOCK values of whole rows.
 
 Each value gets its 17-digit significand S and decimal exponent X: |x| * 10**(16 - X) is
 taken as a Dekker two-product with a double-double table of powers of ten, and rounded
@@ -31,7 +32,7 @@ _TIE_GUARD = 1e-6  # far above the product's error, a few units of 1e-15
 _X_MIN = -281  # the lowest X of a value at or above 1e-280
 _LAYOUTS = 22  # X = -5 (standing for every X < -4), -4, ..., 16
 _DIGIT_BASE = np.uint64(0x2E302E302E302E30)  # "0.0.0.0." as a little-endian word
-_BLOCK = 8192  # values per kernel pass: its temporaries stay in cache
+_BLOCK = 8192  # values per piece and kernel pass: its temporaries stay in cache
 
 
 def _split(a):
@@ -171,22 +172,22 @@ def _fields(values, width: int, fields) -> np.ndarray:
     return uncertain[finite]
 
 
-def rows_text(columns) -> str:
-    """The CSV rows of equal-length 1-D columns: integer columns as "%d", others as "%.17g"."""
-    rows, width = columns[0].size, len(columns)
+def csv_pieces(header, columns):
+    """The CSV text of equal-length 1-D columns: the header line, then one piece per
+    _BLOCK values of whole rows, integer columns as "%d" and others as "%.17g"."""
+    yield ",".join(header) + "\n"
+    width = len(columns)
     integer = [col.dtype.kind in "iu" for col in columns]
-    values = np.empty((rows, width))
+    values = np.empty((columns[0].size, width))
     for c, col in enumerate(columns):
         exact = (col >= -(2**53)) & (col <= 2**53) if integer[c] else True  # as a float
         values[:, c] = np.where(exact, col, 1e16)  # 1e16: left to the % operator
-    values = values.ravel()
-    raw = bytearray(values.size * 48)
-    fields = np.frombuffer(raw, "<u8").reshape(values.size, 6)
-    step = width * max(1, _BLOCK // width)
-    for start in range(0, values.size, step):
-        block = slice(start, start + step)
-        for i in (start + _fields(values[block], width, fields[block])).tolist():
+    step = max(1, _BLOCK // width)
+    for start in range(0, len(values), step):
+        block = values[start : start + step].ravel()
+        raw = bytearray(block.size * 48)
+        for i in _fields(block, width, np.frombuffer(raw, "<u8").reshape(-1, 6)).tolist():
             row, c = divmod(i, width)
-            text = ("%d" if integer[c] else "%.17g") % columns[c][row].item()
+            text = ("%d" if integer[c] else "%.17g") % columns[c][start + row].item()
             raw[48 * i : 48 * i + 45] = text.encode().ljust(45, b"\0")
-    return raw.translate(None, b"\0").decode("ascii")
+        yield raw.translate(None, b"\0").decode("ascii")

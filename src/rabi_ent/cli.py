@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from ._csvtext import rows_text
+from ._csvtext import csv_pieces
 from .config import (
     _scanspec,
     load_config,
@@ -91,18 +91,14 @@ def _resolve_config(args) -> tuple[dict, str]:
     """The validated config and the name of its source, the default label."""
     if args.config is not None and args.fig is not None:
         raise ConfigError("--config and --fig are mutually exclusive")
+    if args.panel is not None and args.fig is None:
+        raise ConfigError("--panel selects a panel of a --fig preset; give --fig N")
     if args.config is not None:
         return load_config(args.config), Path(args.config).stem
     if args.fig is not None:
-        return load_preset(args.fig, args.panel), preset_name(args.fig, args.panel)
+        panel = 1 if args.panel is None else args.panel
+        return load_preset(args.fig, panel), preset_name(args.fig, panel)
     raise ConfigError("provide either --config FILE or --fig N [--panel K]")
-
-
-def _csv_pieces(header, columns):
-    """The CSV text in pieces of 4096 rows: integer columns by %d, float columns by %.17g."""
-    yield ",".join(header) + "\n"
-    for start in range(0, columns[0].size, 4096):
-        yield rows_text([col[start : start + 4096] for col in columns])
 
 
 # Each compute function maps a validated config to the CSV header, the CSV
@@ -146,13 +142,13 @@ def _oracle(cfg: dict):
         compute_truncation_error=ed["check_truncation"],
     )
     pops = result.populations
-    columns = (times, pops["P11"], pops["P1m1"], pops["P10"], pops["P00"], result.concurrence)
+    columns = (times, *pops.values(), result.concurrence)
     summary = {
         "n_max": n_max,
         "truncation_error": result.truncation_error,
     }
     note = f"({times.size} rows); truncation_error = {result.truncation_error}"
-    return ("t", "P11", "P1m1", "P10", "P00", "C"), columns, summary, note
+    return ("t", *pops, "C"), columns, summary, note
 
 
 def _jc(cfg: dict):
@@ -213,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, default=None, help="JSON run configuration")
         cmd.add_argument("--fig", type=int, default=None, help="bundled figure preset number")
-        cmd.add_argument("--panel", type=int, default=1, help="panel within the figure preset")
+        cmd.add_argument("--panel", type=int, default=None, help="preset panel, default 1")
         cmd.add_argument("--out", type=str, default=None, help="output CSV path")
     return parser
 
@@ -232,7 +228,7 @@ def main(argv=None) -> int:
         payload = {"command": args.command, "version": __version__, "resolved": cfg, **summary}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         sidecar = path.with_name(path.name + ".json")
-        _write_outputs([(path, _csv_pieces(header, columns)), (sidecar, [text])])
+        _write_outputs([(path, csv_pieces(header, columns)), (sidecar, [text])])
         print(f"wrote {path} {note}")
         return 0
     except ConfigError as exc:

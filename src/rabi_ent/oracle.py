@@ -27,17 +27,10 @@ DIM_CEILING = 8192  # largest 4 * (n_max + 1) the oracle admits; its truncation 
 PRUNE_BOUND = 1e-15
 _TILE = 32  # Fock rows per tile of the evolution product (see _evolution)
 
-# composite spin basis order used throughout: |1,1>, |1,-1>, |1,0>, |0,0>
-_SPIN_INDEX = {
-    SpinState.J1M1: 0,
-    SpinState.J1M_MINUS1: 1,
-    SpinState.J1M0: 2,
-    SpinState.J0M0: 3,
-}
-
 _SQRT_HALF = math.sqrt(0.5)
 
-# (sz1 + sz2)/2 is diagonal in the composite basis with eigenvalues 1, -1, 0, 0
+# the composite spin basis, in SpinState's order throughout: |1,1>, |1,-1>, |1,0>, |0,0>.
+# (sz1 + sz2)/2 is diagonal in it with eigenvalues 1, -1, 0, 0
 _SZ_HALF = np.diag([1.0, -1.0, 0.0, 0.0])
 
 # sx1 + sx2 couples |1,0> to both |1,1> and |1,-1> with matrix element sqrt(2)
@@ -249,7 +242,7 @@ def _initial_vector(
     if not isinstance(initial_spin, SpinState):
         raise DomainError("initial_spin must be a SpinState member")
     psi0 = np.zeros((SPIN_DIM, n_max + 1))
-    sector = _SPIN_INDEX[initial_spin]
+    sector = list(SpinState).index(initial_spin)
     if initial_fock is None:
         if n_max < required_n_max(params.alpha_sq):
             raise DomainError(

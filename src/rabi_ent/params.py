@@ -43,7 +43,8 @@ class KappaConvention(Enum):
 
 
 class SpinState(Enum):
-    """Composite |j, m> basis of the two qubits.
+    """Composite |j, m> basis of the two qubits, in the oracle's basis order: |1,1>,
+    |1,-1>, |1,0>, |0,0>.
 
     J1M0 and J0M0 are the symmetric and antisymmetric Bell combinations,
     each with amplitude 1/sqrt(2) on |up,down> and |down,up>.

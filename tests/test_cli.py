@@ -27,7 +27,8 @@ from rabi_ent import (
     spectrum,
     transition_prob,
 )
-from rabi_ent.cli import _csv_pieces, build_parser, load_preset, main, preset_name
+from rabi_ent._csvtext import _BLOCK, csv_pieces
+from rabi_ent.cli import build_parser, load_preset, main, preset_name
 from rabi_ent.config import (
     SCHEMA,
     MapOf,
@@ -258,7 +259,7 @@ def test_csv_writer_matches_per_value_formatting():
     nan_peaks = np.full(floats.size, np.nan)
     columns = (np.arange(12, 12 + floats.size), floats, floats[::-1].copy(), nan_peaks)
     header = ("N", "a", "b", "objective")
-    text = "".join(_csv_pieces(header, columns))
+    text = "".join(csv_pieces(header, columns))
     assert text == per_value_csv(header, columns)
     assert text.splitlines()[1].startswith("12,-0,")
 
@@ -266,9 +267,11 @@ def test_csv_writer_matches_per_value_formatting():
 def test_csv_writer_over_more_than_one_chunk():
     rng = np.random.default_rng(8)
     columns = (np.arange(9001), np.linspace(0.0, 900.0, 9001), rng.uniform(-1.0, 1.0, 9001))
-    pieces = list(_csv_pieces(("N", "t", "W"), columns))
-    assert len(pieces) == 1 + 3  # header, then chunks of 4096, 4096 and 809 rows
-    assert "".join(pieces) == per_value_csv(("N", "t", "W"), columns)
+    header, *pieces = csv_pieces(("N", "t", "W"), columns)
+    assert header == "N,t,W\n" and len(pieces) > 2
+    for piece in pieces:  # whole rows, at most _BLOCK values to a piece
+        assert piece.endswith("\n") and piece.count("\n") * len(columns) <= _BLOCK
+    assert header + "".join(pieces) == per_value_csv(("N", "t", "W"), columns)
 
 
 def real_outputs():
@@ -311,10 +314,10 @@ def test_csv_writer_byte_contract():
     values = np.concatenate([values, np.zeros(-values.size % 4)])
     columns = tuple(values.reshape(-1, 4).T.copy())
     header = ("a", "b", "c", "d")
-    text = "".join(_csv_pieces(header, columns))
+    text = "".join(csv_pieces(header, columns))
     assert text == per_value_csv(header, [column.tolist() for column in columns])
     for header, columns in real_outputs():
-        assert "".join(_csv_pieces(header, columns)) == per_value_csv(header, columns), header
+        assert "".join(csv_pieces(header, columns)) == per_value_csv(header, columns), header
 
 
 def test_readme_per_value_classes_match_the_writer():
@@ -336,7 +339,7 @@ def test_readme_per_value_classes_match_the_writer():
     per_value = _csvtext._fields(values, 1, np.empty((values.size, 6), np.uint64))
     assert per_value.tolist() == [0, 1, 4]
     beyond = integer + 1  # a float would round it to 2**53
-    text = "".join(_csv_pieces(("N",), (np.array([beyond, -beyond]),)))
+    text = "".join(csv_pieces(("N",), (np.array([beyond, -beyond]),)))
     assert text == f"N\n{beyond}\n{-beyond}\n"
 
 
@@ -576,10 +579,16 @@ def test_capacity_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "grid has 20099 points, exceeding ceiling 20000" in capsys.readouterr().err
 
 
-def test_unknown_figure_and_panel(tmp_path, monkeypatch):
+def test_unknown_figure_and_panel(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["tprob", "--fig", "9"]) == 2
     assert main(["tprob", "--fig", "4", "--panel", "3"]) == 2
+    # a --panel that selects no preset is an error, not dropped while the run goes ahead
+    config = str(README.parent / "configs" / "fig4_desk_oracle.json")
+    for source in ([], ["--config", config]):
+        assert main(["tprob", *source, "--panel", "3"]) == 2
+        assert "--panel selects a panel of a --fig preset" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("key, value", [("kappa0", 1e200), ("kappa0", 1e308), ("kappa0", -1e308), ("beta", 1e200)])
